@@ -38,8 +38,8 @@ if [ "${mode}" = "tsan" ]; then
   # Prof covers the sampling-profiler suites: the SIGPROF handler publishes
   # into the seqlock sample ring while collect() snapshots it, and the span
   # stack is pushed/popped from worker threads. Arena/MarginalKernel cover
-  # the arena-backed planner scratch (pre-allocated slabs written from
-  # parallel chunk bodies) and the SIMD/scalar kernel differential suites.
+  # the arena-backed planner scratch and the SIMD/scalar kernel
+  # differential suites.
   default_filter='Parallel|BatchEval|Greedy|LazyGreedy|StochasticGreedy|PassiveGreedy|Evaluator|LpScheduler|Campaign|Backoff|LossyCollection|DeliveredCoverage|Svc|StateReuse|Flight|Introspect|MetricsRegistryThreads|LogConcurrency|Prof|Arena|MarginalKernel|FusedScan'
   for threads in 2 4; do
     echo "== TSan pass: COOL_THREADS=${threads} =="

@@ -2,39 +2,21 @@
 
 #include <stdexcept>
 
-#include "util/parallel.h"
-
 namespace cool::core {
 
-namespace {
-
-// Slots per evaluation chunk. Slots carry a full build-up of the active
-// set, so the unit of work is coarse; grain 1 gives the scheduler maximum
-// freedom while the chunk grid stays a pure function of the slot count.
-constexpr std::size_t kSlotGrain = 1;
-
-}  // namespace
-
-Evaluator::Evaluator(const Problem& problem) : problem_(&problem) {}
+Evaluator::Evaluator(const Problem& problem)
+    : problem_(&problem), state_(problem.slot_utility().make_state()) {}
 
 template <typename Schedule>
 void Evaluator::evaluate_slots(const Schedule& schedule,
                                std::size_t slot_count,
                                std::vector<double>& out) {
   out.assign(slot_count, 0.0);
-  const auto chunks = util::chunk_ranges(slot_count, kSlotGrain);
-  // Grow the per-chunk state cache serially (make_state allocates); the
-  // parallel region below only reset()s and fills existing states.
-  while (chunk_states_.size() < chunks.size())
-    chunk_states_.push_back(problem_->slot_utility().make_state());
-  util::parallel_chunks(chunks.size(), [&](std::size_t c) {
-    auto& state = *chunk_states_[c];
-    for (std::size_t t = chunks[c].begin; t < chunks[c].end; ++t) {
-      state.reset();
-      for (const auto s : schedule.active_set(t)) state.add(s);
-      out[t] = state.value();
-    }
-  });
+  for (std::size_t t = 0; t < slot_count; ++t) {
+    state_->reset();
+    for (const auto s : schedule.active_set(t)) state_->add(s);
+    out[t] = state_->value();
+  }
 }
 
 Evaluation Evaluator::operator()(const PeriodicSchedule& schedule) {
@@ -43,7 +25,6 @@ Evaluation Evaluator::operator()(const PeriodicSchedule& schedule) {
     throw std::invalid_argument("evaluate: schedule shape mismatch");
   Evaluation eval;
   evaluate_slots(schedule, schedule.slots_per_period(), eval.slot_utilities);
-  // Summed in slot order on this thread: bit-identical to the serial loop.
   double period_total = 0.0;
   for (const double v : eval.slot_utilities) period_total += v;
   eval.total_utility = period_total * static_cast<double>(problem_->periods());

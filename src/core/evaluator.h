@@ -1,12 +1,10 @@
 // Schedule evaluation: total and per-slot utility over the working time
 // (paper Section II-D: U_X = Σ_t Σ_i U_i(S_X(O_i, t))).
 //
-// Slots are independent, so evaluation shards the slot loop across the
-// util/parallel pool; per-slot values land in a fixed vector and the total
-// is summed in slot order, so results are bit-identical at every thread
-// count. A reusable Evaluator keeps one reset()-able oracle state per
-// worker chunk, so repeated evaluation (the repair oracle, LP rounding,
-// benches) stops allocating a fresh EvalState per slot per call.
+// Slots are evaluated one after another on the calling thread and summed
+// in slot order. A reusable Evaluator keeps one reset()-able oracle state,
+// so repeated evaluation (the repair oracle, LP rounding, benches) stops
+// allocating a fresh EvalState per slot per call.
 #pragma once
 
 #include <memory>
@@ -26,8 +24,8 @@ struct Evaluation {
 };
 
 // Reusable evaluation engine bound to one problem. Not safe for concurrent
-// use by multiple callers (it owns scratch states), but cheap to call
-// repeatedly: states are allocated on first use and reset() between slots.
+// use by multiple callers (it owns a scratch state), but cheap to call
+// repeatedly: the state is allocated once and reset() between slots.
 class Evaluator {
  public:
   explicit Evaluator(const Problem& problem);
@@ -45,8 +43,8 @@ class Evaluator {
                       std::vector<double>& out);
 
   const Problem* problem_;
-  // One oracle state per slot chunk, grown lazily, reset() between slots.
-  std::vector<std::unique_ptr<sub::EvalState>> chunk_states_;
+  // Scratch oracle state, reset() between slots.
+  std::unique_ptr<sub::EvalState> state_;
 };
 
 // One-shot forms (build a temporary Evaluator).

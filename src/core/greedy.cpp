@@ -1,26 +1,14 @@
 #include "core/greedy.h"
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 
 #include "obs/obs.h"
 #include "submodular/function.h"
 #include "util/arena.h"
-#include "util/parallel.h"
 
 namespace cool::core {
-
-namespace {
-
-// Sensors per argmax-scan chunk. Fixed (never derived from the thread
-// count) so the chunk grid — and therefore every partial result — is
-// identical at every thread count. 64 amortizes the per-chunk dispatch
-// (indirect call + fused-kernel pointer prologue) over enough candidates
-// that the serial hot path is dominated by row arithmetic, while still
-// exposing 8-way parallelism from n ≈ 500 up.
-constexpr std::size_t kScanGrain = 64;
-
-}  // namespace
 
 namespace detail {
 
@@ -39,6 +27,37 @@ std::vector<std::unique_ptr<sub::EvalState>>& prepare_slot_states(
     for (auto& state : states) state->reset();
   }
   return states;
+}
+
+ScanBest scan_best(const sub::FusedSlotEvaluator& fused,
+                   const sub::EvalState* const* states, std::size_t T,
+                   const std::size_t* ids, std::size_t count, double* gains) {
+  const auto better = [](const ScanBest& a, const ScanBest& b) {
+    if (a.gain != b.gain) return a.gain > b.gain ? a : b;
+    if (a.index != b.index) return a.index < b.index ? a : b;
+    return a.slot <= b.slot ? a : b;
+  };
+  // Each slot row's first strict maximum is its lowest-index best; folding
+  // the T row winners in slot order keeps the lowest slot among equal gains.
+  ScanBest best{-1.0, count, T};
+  if (fused) {
+    double bg[sub::FusedSlotEvaluator::kMaxSlots];
+    std::size_t bi[sub::FusedSlotEvaluator::kMaxSlots];
+    fused.fn(states, T, ids, count, bg, bi);
+    for (std::size_t t = 0; t < T; ++t)
+      best = better(best, ScanBest{bg[t], bi[t], t});
+  } else {
+    for (std::size_t t = 0; t < T; ++t) {
+      states[t]->marginal_batch({ids, count}, {gains, count});
+      // Linear first-max scan — identical tie-break semantics to the
+      // fused kernel's in-register argmax.
+      std::size_t arg = 0;
+      for (std::size_t i = 1; i < count; ++i)
+        if (gains[i] > gains[arg]) arg = i;
+      best = better(best, ScanBest{gains[arg], arg, t});
+    }
+  }
+  return best;
 }
 
 }  // namespace detail
@@ -60,55 +79,24 @@ GreedyResult GreedyScheduler::schedule(const Problem& problem,
   std::vector<std::unique_ptr<sub::EvalState>> local_states;
   auto& slot_state = detail::prepare_slot_states(problem, ctx, T, local_states);
 
-  // The (sensor, slot) argmax scan is sharded over fixed sensor chunks.
-  // Each chunk reports its best candidate; chunks are combined in index
-  // order with the serial tie-break (max gain, lowest (sensor, slot)
-  // lexicographically on ties), so the parallel winner is bit-for-bit the
-  // sensor/slot the serial v-outer/t-inner scan would have picked.
-  struct Candidate {
-    double gain = -1.0;
-    std::size_t sensor = 0;
-    std::size_t slot = 0;
-  };
-  const auto better = [](const Candidate& a, const Candidate& b) {
-    if (a.gain != b.gain) return a.gain > b.gain ? a : b;
-    if (a.sensor != b.sensor) return a.sensor < b.sensor ? a : b;
-    return a.slot <= b.slot ? a : b;
-  };
-
-  const auto chunks = util::chunk_ranges(n, kScanGrain);
-
   // All scan scratch comes from the planner arena (a call-local one when the
-  // caller did not provide a warmed arena): flat struct-of-arrays slabs,
-  // sliced per chunk at the chunk's own sensor range so the parallel bodies
-  // write disjoint memory and never allocate. A warmed arena serves every
+  // caller did not provide a warmed arena). A warmed arena serves every
   // later schedule() call with zero heap allocations — the property
   // scripts/check_profile.sh gates.
   util::Arena local_arena;
   util::Arena& arena = ctx.arena ? *ctx.arena : local_arena;
   arena.reset();
-  Candidate* chunk_best = arena.allocate_array<Candidate>(chunks.size());
-  // Persistent per-chunk candidate lists: chunk c owns the slab slice at
-  // its own sensor range, holding its unplaced sensors in ascending order.
-  // Placing a sensor shrinks exactly ONE chunk's list (a <= kScanGrain
-  // shift, serial, between steps) instead of every chunk re-scanning a
-  // placed[] bitmap over all n sensors every step.
-  std::size_t* ids_slab = arena.allocate_array<std::size_t>(n);
-  std::size_t* chunk_len = arena.allocate_array<std::size_t>(chunks.size());
-  for (std::size_t c = 0; c < chunks.size(); ++c) {
-    for (std::size_t v = chunks[c].begin; v < chunks[c].end; ++v)
-      ids_slab[v] = v;
-    chunk_len[c] = chunks[c].end - chunks[c].begin;
-  }
-  // T gain rows for the unfused fallback, one per slot; chunk c owns
-  // columns [begin, end) of every row, so the bodies write disjointly.
-  double* gains_slab = arena.allocate_array<double>(n * T);
+  // Unplaced sensors in ascending id order; a placement removes one entry.
+  std::size_t* ids = arena.allocate_array<std::size_t>(n);
+  for (std::size_t v = 0; v < n; ++v) ids[v] = v;
+  // One gain row for the unfused fallback, reused for every slot.
+  double* gains = arena.allocate_array<double>(n);
 
-  // Fused slot-row scan-and-argmax (resolve once per call, not per chunk):
-  // when every slot state is the flat detection oracle over one utility,
-  // each candidate's coverage row is walked a single time for all T slots
-  // and the per-slot argmax falls out of the same pass. Gains are
-  // bit-identical either way, so both paths pick the same candidate.
+  // Fused slot-row scan-and-argmax (resolved once per call): when every slot
+  // state is the flat detection oracle over one utility, each candidate's
+  // coverage row is walked a single time for all T slots and the per-slot
+  // argmax falls out of the same pass. Gains are bit-identical either way,
+  // so both paths pick the same candidate.
   const sub::FusedSlotEvaluator fused = sub::resolve_fused(slot_state);
   const sub::EvalState** state_ptrs =
       arena.allocate_array<const sub::EvalState*>(T);
@@ -118,57 +106,19 @@ GreedyResult GreedyScheduler::schedule(const Problem& problem,
     // Deadline poll between placement steps: a step either fully lands or
     // never starts, so cancellation leaves no half-applied placement.
     if (ctx.cancel) ctx.cancel->checkpoint();
-    util::parallel_chunks(chunks.size(), [&](std::size_t c) {
-      const std::size_t* ids = ids_slab + chunks[c].begin;
-      const std::size_t len = chunk_len[c];
-      Candidate best;
-      best.sensor = n;
-      best.slot = T;
-      if (len > 0) {
-        if (fused) {
-          double bg[sub::FusedSlotEvaluator::kMaxSlots];
-          std::size_t bi[sub::FusedSlotEvaluator::kMaxSlots];
-          fused.fn(state_ptrs, T, ids, len, bg, bi);
-          // ids ascend within the chunk, so the kernel's first strict
-          // maximum IS the row's better()-optimum (max gain, then min
-          // sensor); fold the T row winners in slot order.
-          for (std::size_t t = 0; t < T; ++t)
-            best = better(best, Candidate{bg[t], ids[bi[t]], t});
-        } else {
-          for (std::size_t t = 0; t < T; ++t) {
-            double* gains = gains_slab + t * n + chunks[c].begin;
-            slot_state[t]->marginal_batch({ids, len}, {gains, len});
-            // Linear first-max scan — identical tie-break semantics to the
-            // fused kernel's in-register argmax.
-            std::size_t arg = 0;
-            for (std::size_t i = 1; i < len; ++i)
-              if (gains[i] > gains[arg]) arg = i;
-            best = better(best, Candidate{gains[arg], ids[arg], t});
-          }
-        }
-      }
-      chunk_best[c] = best;
-    });
-    Candidate best;
-    best.sensor = n;
-    best.slot = T;
-    for (std::size_t c = 0; c < chunks.size(); ++c)
-      best = better(best, chunk_best[c]);
+    // The scan walks one ascending list of unplaced sensor ids, so the
+    // lowest index is the lowest sensor id: the tie-break of the plain
+    // v-outer/t-inner scan (max gain, lowest sensor, lowest slot).
+    const std::size_t len = n - step;
+    const detail::ScanBest best =
+        detail::scan_best(fused, state_ptrs, T, ids, len, gains);
     // Monotone utilities make every gain >= 0, so a pair always exists.
-    result.oracle_calls += (n - step) * T;
-    // Remove the winner from its (single) chunk's candidate list, keeping
-    // the remaining ids in ascending order for the tie-break contract.
-    {
-      const std::size_t c = best.sensor / kScanGrain;
-      std::size_t* ids = ids_slab + chunks[c].begin;
-      std::size_t pos = 0;
-      while (ids[pos] != best.sensor) ++pos;
-      for (std::size_t i = pos + 1; i < chunk_len[c]; ++i) ids[i - 1] = ids[i];
-      --chunk_len[c];
-    }
-    slot_state[best.slot]->add(best.sensor);
-    result.schedule.set_active(best.sensor, best.slot);
-    result.steps.push_back(GreedyStep{best.sensor, best.slot, best.gain});
+    result.oracle_calls += len * T;
+    const std::size_t sensor = ids[best.index];
+    std::copy(ids + best.index + 1, ids + len, ids + best.index);
+    slot_state[best.slot]->add(sensor);
+    result.schedule.set_active(sensor, best.slot);
+    result.steps.push_back(GreedyStep{sensor, best.slot, best.gain});
   }
   // Published once per schedule, not per marginal query, so the enabled-
   // but-idle cost stays off the O(n^2 T) inner loop.

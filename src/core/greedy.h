@@ -74,6 +74,22 @@ namespace detail {
 std::vector<std::unique_ptr<sub::EvalState>>& prepare_slot_states(
     const Problem& problem, const PlannerContext& ctx, std::size_t slots,
     std::vector<std::unique_ptr<sub::EvalState>>& local);
+
+// The best (candidate, slot) pair of one greedy step: the maximum of
+// states[t]->marginal(ids[index]) over every index < count and slot t < T,
+// ties to the lowest index, then the lowest slot — the first maximum of the
+// index-outer / slot-inner scan. `fused` (resolve_fused over the same
+// states, possibly empty) walks each candidate's row once for all T slots;
+// otherwise each slot is one marginal_batch into `gains` (count doubles).
+// Both paths return bit-identical results. Requires count >= 1.
+struct ScanBest {
+  double gain = -1.0;
+  std::size_t index = 0;  // position in ids, not a sensor id
+  std::size_t slot = 0;
+};
+ScanBest scan_best(const sub::FusedSlotEvaluator& fused,
+                   const sub::EvalState* const* states, std::size_t T,
+                   const std::size_t* ids, std::size_t count, double* gains);
 }  // namespace detail
 
 class GreedyScheduler {

@@ -9,7 +9,6 @@
 
 #include "obs/obs.h"
 #include "util/arena.h"
-#include "util/parallel.h"
 
 namespace cool::core {
 
@@ -24,9 +23,9 @@ struct QueueEntry {
   // Max-heap on gain with a total deterministic order: ties go to the
   // lowest (sensor, slot) pair, matching the plain greedy scan's
   // first-maximum tie-break. A total order makes the selected pair a pure
-  // function of the current gains — independent of refresh batching, of
-  // the thread count, and of the heap's internal array layout (every pop
-  // surfaces the unique maximum of the current entries).
+  // function of the current gains — independent of the refresh order and
+  // of the heap's internal array layout (every pop surfaces the unique
+  // maximum of the current entries).
   bool operator<(const QueueEntry& other) const noexcept {
     if (gain != other.gain) return gain < other.gain;
     if (sensor != other.sensor) return sensor > other.sensor;
@@ -52,12 +51,12 @@ GreedyResult LazyGreedyScheduler::schedule(const Problem& problem,
   std::vector<std::unique_ptr<sub::EvalState>> local_states;
   auto& slot_state = detail::prepare_slot_states(problem, ctx, T, local_states);
 
-  // Every scratch buffer — the heap, the stale batch, the per-slot refresh
-  // regroup — comes from the planner arena (call-local when the caller did
-  // not provide one). Each (sensor, slot) pair has at most one live heap
-  // entry at any time (seeded once; a popped entry is reinserted at most
-  // once per round), so n·T bounds the heap and the stale batch; reserving
-  // that up front means the placement loop performs zero heap allocations.
+  // Every scratch buffer (the heap and the stale batch) comes from the
+  // planner arena (call-local when the caller did not provide one). Each
+  // (sensor, slot) pair has at most one live heap entry at any time (seeded
+  // once; a popped entry is reinserted at most once per round), so n·T
+  // bounds the heap and the stale batch; reserving that up front means the
+  // placement loop performs zero heap allocations.
   util::Arena local_arena;
   util::Arena& arena = ctx.arena ? *ctx.arena : local_arena;
   arena.reset();
@@ -67,12 +66,6 @@ GreedyResult LazyGreedyScheduler::schedule(const Problem& problem,
   std::memset(slot_version, 0, T * sizeof(std::size_t));
   std::uint8_t* placed = arena.allocate_array<std::uint8_t>(n);
   std::memset(placed, 0, n);
-  // Per-slot regroup scratch for the batched stale refresh: slot t's rows
-  // live at [t * n, t * n + slot_count[t]).
-  std::size_t* slot_ids = arena.allocate_array<std::size_t>(pair_count);
-  std::size_t* slot_entry = arena.allocate_array<std::size_t>(pair_count);
-  double* refresh_gains = arena.allocate_array<double>(pair_count);
-  std::size_t* slot_count = arena.allocate_array<std::size_t>(T);
 
   // Initially every slot state is empty, so all slots give the same gain
   // for a sensor: one batched scan over slot 0 seeds all n·T pairs — still
@@ -128,30 +121,11 @@ GreedyResult LazyGreedyScheduler::schedule(const Problem& problem,
       continue;
     }
     // Re-score the whole stale batch against the pool (the states are
-    // unchanged until the next placement), regrouped by slot so each slot's
-    // entries go through one contiguous marginal_batch. Gains can only have
-    // shrunk, batching computes exactly the per-entry marginals, and the
-    // refresh order cannot affect the heap's total order, so the outcome is
-    // identical at every thread count — only the wall clock changes.
-    std::memset(slot_count, 0, T * sizeof(std::size_t));
-    for (std::size_t i = 0; i < stale.size(); ++i) {
-      const std::size_t t = stale[i].slot;
-      const std::size_t k = slot_count[t]++;
-      slot_ids[t * n + k] = stale[i].sensor;
-      slot_entry[t * n + k] = i;
-    }
-    util::parallel_chunks(T, [&](std::size_t t) {
-      const std::size_t count = slot_count[t];
-      if (count == 0) return;
-      slot_state[t]->marginal_batch({slot_ids + t * n, count},
-                                    {refresh_gains + t * n, count});
-    });
-    for (std::size_t t = 0; t < T; ++t) {
-      for (std::size_t k = 0; k < slot_count[t]; ++k) {
-        QueueEntry& entry = stale[slot_entry[t * n + k]];
-        entry.gain = refresh_gains[t * n + k];
-        entry.slot_version = slot_version[t];
-      }
+    // unchanged until the next placement). Gains can only have shrunk, and
+    // the refresh order cannot affect the heap's total order.
+    for (auto& entry : stale) {
+      entry.gain = slot_state[entry.slot]->marginal(entry.sensor);
+      entry.slot_version = slot_version[entry.slot];
     }
     result.oracle_calls += stale.size();
     stale_refreshes += stale.size();

@@ -1,7 +1,8 @@
 // Lazy (CELF-style) greedy hill-climbing.
 //
-// Produces a schedule with the same guarantee as GreedyScheduler (and, up to
-// ties, the same schedule) while issuing far fewer marginal-gain queries:
+// Produces the same schedule as GreedyScheduler, ties included (the heap's
+// total order is the plain scan's tie-break), while issuing far fewer
+// marginal-gain queries:
 // submodularity means a (sensor, slot) pair's gain can only shrink as the
 // slot's active set grows, so stale queue entries are safe upper bounds and
 // only the queue head ever needs re-evaluation. This is the ablation for

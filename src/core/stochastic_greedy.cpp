@@ -10,17 +10,8 @@
 #include "obs/obs.h"
 #include "submodular/function.h"
 #include "util/arena.h"
-#include "util/parallel.h"
 
 namespace cool::core {
-
-namespace {
-
-// Sampled candidates per argmax chunk; fixed so the chunk grid is
-// identical at every thread count.
-constexpr std::size_t kScanGrain = 16;
-
-}  // namespace
 
 StochasticGreedyScheduler::StochasticGreedyScheduler(double epsilon)
     : epsilon_(epsilon) {
@@ -45,24 +36,25 @@ GreedyResult StochasticGreedyScheduler::schedule(const Problem& problem,
   std::vector<std::unique_ptr<sub::EvalState>> local_states;
   auto& slot_state = detail::prepare_slot_states(problem, ctx, T, local_states);
 
-  // Sample size per step: every sensor is placed (k = n), so n/k = 1 and
-  // the textbook size collapses to ln(1/ε); keep at least that many and
-  // scale with the remaining pool so early steps see a fair spread.
-  const double log_term = std::log(1.0 / epsilon_);
+  // Sample size per step: the textbook (|V|/k)·ln(1/ε) over the |V| = n·T
+  // (sensor, slot) pairs with k = n placements is T·ln(1/ε) pairs — a
+  // constant ⌈ln(1/ε)⌉ sensors, each scored in all T slots, capped by the
+  // sensors still unplaced.
+  const auto sample_cap = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::ceil(std::log(1.0 / epsilon_))));
 
-  // Scratch (candidate pool + batched gains) comes from the planner arena;
+  // Scratch (candidate pool + one gain row) comes from the planner arena;
   // the sampled candidates sit contiguously at the pool's front after the
-  // partial Fisher-Yates pass, so each argmax chunk batches straight out of
-  // the pool array.
+  // partial Fisher-Yates pass, so the scan batches straight out of the
+  // pool array.
   util::Arena local_arena;
   util::Arena& arena = ctx.arena ? *ctx.arena : local_arena;
   arena.reset();
   util::ArenaVector<std::size_t> pool(&arena);
   pool.resize(n);
   for (std::size_t v = 0; v < n; ++v) pool[v] = v;
-  // T gain rows, one per slot; a chunk owns columns [begin, end) of every
-  // row, so the parallel map bodies write disjoint slices.
-  double* gains_slab = arena.allocate_array<double>(n * T);
+  // One gain row for the unfused fallback, reused for every slot.
+  double* gains = arena.allocate_array<double>(std::min(n, sample_cap));
 
   // Fused slot-row evaluation, resolved once per call (see greedy.cpp):
   // each sampled candidate's coverage row is walked a single time for all
@@ -74,12 +66,7 @@ GreedyResult StochasticGreedyScheduler::schedule(const Problem& problem,
 
   for (std::size_t step = 0; step < n; ++step) {
     const std::size_t remaining = pool.size();
-    const auto sample_size = std::min(
-        remaining,
-        std::max<std::size_t>(
-            1, static_cast<std::size_t>(std::ceil(
-                   log_term * static_cast<double>(remaining) /
-                   static_cast<double>(n - step)))));
+    const std::size_t sample_size = std::min(remaining, sample_cap);
     // Partial Fisher-Yates: move `sample_size` random picks to the front.
     for (std::size_t i = 0; i < sample_size; ++i) {
       const auto j = static_cast<std::size_t>(rng.uniform_int(
@@ -87,60 +74,17 @@ GreedyResult StochasticGreedyScheduler::schedule(const Problem& problem,
       std::swap(pool[i], pool[j]);
     }
 
-    // Parallel argmax over the sampled candidates. The sample order is
-    // fixed by the (serial) Fisher-Yates pass above, and ties break on the
-    // lowest (sample position, slot) pair — exactly the first maximum the
-    // serial i-outer/t-inner scan would have found, at every thread count.
-    struct Candidate {
-      double gain = -1.0;
-      std::size_t index = 0;  // position in the sample, not a sensor id
-      std::size_t slot = 0;
-    };
-    const auto better = [](const Candidate& a, const Candidate& b) {
-      if (a.gain != b.gain) return a.gain > b.gain ? a : b;
-      if (a.index != b.index) return a.index < b.index ? a : b;
-      return a.slot <= b.slot ? a : b;
-    };
-    const Candidate best = util::parallel_reduce(
-        sample_size, kScanGrain, Candidate{-1.0, sample_size, T},
-        [&](std::size_t begin, std::size_t end) {
-          // Batched row-at-a-time scan over this chunk's slice of the
-          // sample. Within a row the sample position ascends and the slot
-          // is fixed, so the first strict maximum is the row's
-          // better()-optimum; folding rows in t order then matches the
-          // serial i-outer/t-inner scan's unique total-order maximum.
-          const std::size_t len = end - begin;
-          const std::size_t* ids = pool.data() + begin;
-          Candidate local{-1.0, sample_size, T};
-          if (fused) {
-            double bg[sub::FusedSlotEvaluator::kMaxSlots];
-            std::size_t bi[sub::FusedSlotEvaluator::kMaxSlots];
-            fused.fn(state_ptrs, T, ids, len, bg, bi);
-            for (std::size_t t = 0; t < T; ++t)
-              local = better(local, Candidate{bg[t], begin + bi[t], t});
-          } else {
-            for (std::size_t t = 0; t < T; ++t) {
-              double* gains = gains_slab + t * n + begin;
-              slot_state[t]->marginal_batch({ids, len}, {gains, len});
-              std::size_t arg = 0;
-              for (std::size_t i = 1; i < len; ++i)
-                if (gains[i] > gains[arg]) arg = i;
-              local = better(local, Candidate{gains[arg], begin + arg, t});
-            }
-          }
-          return local;
-        },
-        better);
+    // Argmax over the sampled candidates, ties to the lowest (sample
+    // position, slot) pair — the first maximum of the serial scan.
+    const detail::ScanBest best = detail::scan_best(
+        fused, state_ptrs, T, pool.data(), sample_size, gains);
     result.oracle_calls += sample_size * T;
-    const double best_gain = best.gain;
-    const std::size_t best_index = best.index;
-    const std::size_t best_slot = best.slot;
-    const std::size_t chosen = pool[best_index];
-    pool[best_index] = pool.back();
+    const std::size_t chosen = pool[best.index];
+    pool[best.index] = pool.back();
     pool.pop_back();
-    slot_state[best_slot]->add(chosen);
-    result.schedule.set_active(chosen, best_slot);
-    result.steps.push_back(GreedyStep{chosen, best_slot, best_gain});
+    slot_state[best.slot]->add(chosen);
+    result.schedule.set_active(chosen, best.slot);
+    result.steps.push_back(GreedyStep{chosen, best.slot, best.gain});
   }
   return result;
 }

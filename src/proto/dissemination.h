@@ -12,10 +12,10 @@
 #include <vector>
 
 #include "core/schedule.h"
+#include "net/backoff.h"
 #include "net/network.h"
 #include "net/radio.h"
 #include "net/routing.h"
-#include "proto/backoff.h"
 #include "proto/link.h"
 #include "util/rng.h"
 
@@ -55,8 +55,8 @@ struct DeltaDisseminationConfig {
   std::size_t max_attempts = 0;        // per update; 0 = keep trying forever
 
   // The equivalent shared policy (net/backoff.h) the disseminator runs on.
-  BackoffConfig backoff_policy() const {
-    BackoffConfig policy;
+  net::BackoffConfig backoff_policy() const {
+    net::BackoffConfig policy;
     policy.base_slots = backoff_base_slots;
     policy.factor = backoff_factor;
     policy.max_slots = max_backoff_slots;
@@ -116,7 +116,7 @@ class DeltaDisseminator {
   const LinkModel* links_;
   const net::RadioEnergyModel* radio_;
   DeltaDisseminationConfig config_;
-  BackoffPolicy backoff_;
+  net::BackoffPolicy backoff_;
   std::vector<std::uint8_t> pending_;
   std::vector<std::size_t> next_attempt_slot_;
   std::vector<std::size_t> failures_;  // consecutive failures per update

@@ -28,8 +28,7 @@ namespace cool::sub {
 //
 // Thread-safety contract: `marginal` and `marginal_batch` are const and
 // must be safe to call concurrently from multiple threads on the same
-// state (no mutable caches) — the parallel argmax scans rely on this.
-// `add` and `reset` require exclusive access.
+// state (no mutable caches). `add` and `reset` require exclusive access.
 class EvalState {
  public:
   virtual ~EvalState() = default;
@@ -98,7 +97,7 @@ struct FusedSlotEvaluator {
   explicit operator bool() const noexcept { return fn != nullptr; }
 
   // Largest state_count resolve_fused() will fuse; callers may size
-  // per-chunk best_gain/best_index scratch with this bound.
+  // best_gain/best_index scratch with this bound.
   static constexpr std::size_t kMaxSlots = 64;
 };
 

@@ -1,17 +1,18 @@
 // Deterministic parallel execution: a work-stealing thread pool plus the
-// parallel_for / parallel_reduce helpers the schedulers build on.
+// parallel_chunks / parallel_for helpers. They run whole units of work —
+// one plan per svc batch job, campaign days and trials, LP rounding draws,
+// the passive greedy's loss-scan chunks — never the per-step argmax of the
+// exact greedies (DESIGN.md section 10).
 //
-// Design contract (DESIGN.md section 10): parallelism must never change
-// results. The helpers guarantee this by construction:
+// Design contract: parallelism must never change results. The helpers
+// guarantee this by construction:
 //
 //   * chunk_ranges(n, grain) produces a chunk grid that depends only on the
 //     iteration shape, never on the worker count — so per-chunk partial
 //     results are identical at every thread count;
-//   * parallel_reduce combines the per-chunk partials sequentially in
-//     ascending chunk (index) order on the calling thread — so floating-
-//     point reductions associate identically at every thread count;
 //   * chunk bodies receive disjoint index ranges and may only write state
-//     owned by their chunk.
+//     owned by their chunk; the caller combines per-chunk results in chunk
+//     order.
 //
 // Thread count resolution, in priority order: set_thread_count() (wired to
 // --threads in the benches), the COOL_THREADS environment variable, then
@@ -30,11 +31,10 @@
 
 namespace cool::util {
 
-// Non-owning callable view (the planner hot loops dispatch one of these per
-// argmax round; std::function would heap-allocate its closure every time,
-// which is exactly the churn the arena work removes). The referenced
-// callable must outlive every invocation — guaranteed here because the
-// parallel helpers run the batch to completion before returning.
+// Non-owning callable view: dispatching a batch through it never allocates,
+// where std::function may heap-allocate its closure. The referenced callable
+// must outlive every invocation — guaranteed here because the parallel
+// helpers run the batch to completion before returning.
 template <typename Sig>
 class FunctionRef;
 
@@ -116,7 +116,7 @@ ThreadPool& global_pool();
 // Runs body(c) for every chunk index c in [0, chunk_count). Serial (and
 // pool-free) when thread_count() == 1, chunk_count <= 1, or already on a
 // worker thread. Takes a FunctionRef, not std::function: dispatching a
-// batch performs no allocation, so the planner loops stay heap-silent.
+// batch performs no allocation.
 void parallel_chunks(std::size_t chunk_count,
                      FunctionRef<void(std::size_t)> body);
 
@@ -124,23 +124,5 @@ void parallel_chunks(std::size_t chunk_count,
 // chunk_ranges(n, grain).
 void parallel_for(std::size_t n, std::size_t grain,
                   FunctionRef<void(std::size_t, std::size_t)> body);
-
-// Deterministic reduction: partial[c] = map(chunk c begin, end) computed in
-// parallel, then acc = combine(acc, partial[c]) folded left-to-right in
-// chunk order on the calling thread. Identical results at every thread
-// count because the chunk grid and the fold order are fixed.
-template <typename T, typename Map, typename Combine>
-T parallel_reduce(std::size_t n, std::size_t grain, T identity, Map&& map,
-                  Combine&& combine) {
-  const auto chunks = chunk_ranges(n, grain);
-  if (chunks.empty()) return identity;
-  std::vector<T> partial(chunks.size(), identity);
-  parallel_chunks(chunks.size(), [&](std::size_t c) {
-    partial[c] = map(chunks[c].begin, chunks[c].end);
-  });
-  T acc = std::move(identity);
-  for (auto& part : partial) acc = combine(std::move(acc), std::move(part));
-  return acc;
-}
 
 }  // namespace cool::util

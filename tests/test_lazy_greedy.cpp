@@ -4,7 +4,6 @@
 
 #include <memory>
 
-#include "core/evaluator.h"
 #include "core/greedy.h"
 #include "net/network.h"
 #include "submodular/detection.h"
@@ -40,20 +39,6 @@ TEST(LazyGreedy, FeasibleAndComplete) {
   EXPECT_TRUE(result.schedule.feasible(problem));
   for (std::size_t v = 0; v < 40; ++v)
     EXPECT_EQ(result.schedule.active_count(v), 1u);
-}
-
-TEST(LazyGreedy, UtilityMatchesPlainGreedyUpToTies) {
-  // CELF performs the same hill climb; when several (sensor, slot) pairs
-  // tie on gain the two implementations may break the tie differently and
-  // the trajectories drift slightly, so compare values with a 1% band.
-  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-    const auto problem = random_instance(30, 4, 4, seed);
-    const auto plain = GreedyScheduler().schedule(problem);
-    const auto lazy = LazyGreedyScheduler().schedule(problem);
-    const double up = evaluate(problem, plain.schedule).total_utility;
-    const double ul = evaluate(problem, lazy.schedule).total_utility;
-    EXPECT_NEAR(up, ul, 0.01 * up) << "seed " << seed;
-  }
 }
 
 TEST(LazyGreedy, IssuesFewerOracleCallsOnStructuredInstances) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 #include <vector>
@@ -64,26 +63,6 @@ TEST_F(Parallel, ParallelForCoversEveryIndexExactlyOnce) {
     });
     for (std::size_t i = 0; i < hits.size(); ++i)
       EXPECT_EQ(hits[i], 1) << "index " << i << " at " << threads << " threads";
-  }
-}
-
-TEST_F(Parallel, ReduceIsBitIdenticalAcrossThreadCounts) {
-  const auto run = [] {
-    return parallel_reduce(
-        1000, 16, 0.0,
-        [](std::size_t begin, std::size_t end) {
-          double sum = 0.0;
-          for (std::size_t i = begin; i < end; ++i)
-            sum += std::sqrt(static_cast<double>(i)) * 1e-3;
-          return sum;
-        },
-        [](double a, double b) { return a + b; });
-  };
-  set_thread_count(1);
-  const double serial = run();
-  for (const std::size_t threads : {2u, 3u, 8u}) {
-    set_thread_count(threads);
-    EXPECT_EQ(serial, run()) << threads << " threads";  // exact, not NEAR
   }
 }
 
@@ -157,10 +136,6 @@ TEST_F(Parallel, EmptyAndSingletonShapesAreNoOps) {
     ++calls;
   });
   EXPECT_EQ(calls, 1);
-  EXPECT_EQ(parallel_reduce(
-                0, 4, 42.0, [](std::size_t, std::size_t) { return 1.0; },
-                [](double a, double b) { return a + b; }),
-            42.0);
 }
 
 }  // namespace

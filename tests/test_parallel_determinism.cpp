@@ -1,8 +1,9 @@
 // The parallel engine's headline contract: every scheduler, the evaluator,
 // and the campaign runner produce bit-for-bit identical results at every
-// thread count. Each test runs the same workload at 1, 2, and 8 scheduler
-// threads and compares against the serial run with exact equality — no
-// tolerances anywhere.
+// thread count. Each determinism test runs the same workload at 1, 2, and 8
+// scheduler threads and compares against the serial run with exact equality
+// — no tolerances anywhere. One more test checks which paths may use the
+// pool at all.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,8 +17,11 @@
 #include "core/problem.h"
 #include "core/stochastic_greedy.h"
 #include "net/network.h"
+#include "obs/obs.h"
 #include "sim/campaign.h"
 #include "submodular/detection.h"
+#include "svc/protocol.h"
+#include "svc/session.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -165,6 +169,48 @@ TEST_F(ParallelDeterminism, ReusedEvaluatorMatchesOneShot) {
   EXPECT_EQ(first.total_utility, one_shot.total_utility);
   EXPECT_EQ(second.total_utility, one_shot.total_utility);
   EXPECT_EQ(second.slot_utilities, one_shot.slot_utilities);
+}
+
+// One level of parallelism (DESIGN.md section 10): the exact greedies, the
+// stochastic greedy and the evaluator run on the calling thread at any
+// thread count. The pool counts every task it is handed, so a planner that
+// forks shows up as a moving counter; passive greedy's chunked loss scan and
+// a direct parallel_for are the positive controls.
+TEST_F(ParallelDeterminism, PlanningAndEvaluationNeverFork) {
+  if (!COOL_OBS_ENABLED) GTEST_SKIP() << "obs compiled out";
+  util::set_thread_count(4);
+  const obs::Counter& tasks = obs::metrics().counter("parallel.tasks");
+  const auto forks = [&](auto&& body) {
+    const std::uint64_t before = tasks.value();
+    body();
+    return tasks.value() - before;
+  };
+
+  svc::NetworkSpec spec;
+  spec.sensors = 800;
+  spec.targets = 800;
+  spec.sensing_radius = 6.0;
+  const core::Problem problem = svc::make_problem(spec);
+  core::PeriodicSchedule schedule(1, 1);
+  EXPECT_EQ(forks([&] {
+              schedule = core::GreedyScheduler().schedule(problem).schedule;
+            }),
+            0u);
+  EXPECT_EQ(forks([&] { core::LazyGreedyScheduler().schedule(problem); }), 0u);
+  EXPECT_EQ(forks([&] {
+              util::Rng rng(3);
+              core::StochasticGreedyScheduler(0.1).schedule(problem, rng);
+            }),
+            0u);
+  EXPECT_EQ(forks([&] { core::evaluate(problem, schedule); }), 0u);
+
+  const auto passive = make_problem(40, false);
+  EXPECT_GT(forks([&] { core::PassiveGreedyScheduler().schedule(passive); }),
+            0u);
+  EXPECT_GT(forks([&] {
+              util::parallel_for(8, 1, [](std::size_t, std::size_t) {});
+            }),
+            0u);
 }
 
 TEST_F(ParallelDeterminism, CampaignDayFanOut) {
