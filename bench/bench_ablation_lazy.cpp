@@ -1,6 +1,9 @@
-// Ablation: plain greedy (the paper's Algorithm 1) vs lazy/CELF greedy.
-// Same schedules (up to ties), very different oracle budgets — the design
-// note in DESIGN.md §6.
+// Ablation: plain greedy (the paper's Algorithm 1) vs lazy greedy vs
+// stochastic greedy. Plain and lazy return the same schedule (lazy-delta is
+// exactly 0) at very different oracle budgets — DESIGN.md §6 and §15. The
+// last row is an all-overlap network (every sensor covers every target),
+// the shape where the plain scan beats the lazy heap most clearly on wall
+// time.
 //
 //   ./bench_ablation_lazy [--seed 9] [--days 3]
 #include <chrono>
@@ -34,20 +37,32 @@ int main(int argc, char** argv) {
   const auto days = static_cast<std::size_t>(cli.get_int("days", 3));
   cli.finish();
 
-  std::printf("=== Ablation: plain greedy vs lazy (CELF) vs stochastic "
+  std::printf("=== Ablation: plain greedy vs lazy vs stochastic "
               "(sampling) greedy ===\n\n");
-  cool::util::Table table({"n", "plain-oracle", "lazy-oracle", "stoch-oracle",
+  cool::util::Table table({"shape", "plain-oracle", "lazy-oracle", "stoch-oracle",
                            "plain-ms", "lazy-ms", "stoch-ms", "lazy-delta",
                            "stoch-delta%"});
-  for (const std::size_t n : {50u, 100u, 200u, 400u, 800u}) {
+  struct Shape {
+    const char* label;
+    std::size_t n, targets;
+    double region_side, sensing_radius;
+  };
+  const Shape shapes[] = {{"50", 50, 20, 200.0, 40.0},
+                          {"100", 100, 20, 200.0, 40.0},
+                          {"200", 200, 20, 200.0, 40.0},
+                          {"400", 400, 20, 200.0, 40.0},
+                          {"800", 800, 20, 200.0, 40.0},
+                          {"800 all-overlap", 800, 4, 100.0, 200.0}};
+  for (const Shape& shape : shapes) {
+    const std::size_t n = shape.n;
     cool::util::Accumulator plain_calls, lazy_calls, stoch_calls;
     cool::util::Accumulator plain_ms, lazy_ms, stoch_ms, delta, stoch_rel;
     for (std::size_t day = 0; day < days; ++day) {
       cool::net::NetworkConfig config;
       config.sensor_count = n;
-      config.target_count = 20;
-      config.region_side = 200.0;
-      config.sensing_radius = 40.0;
+      config.target_count = shape.targets;
+      config.region_side = shape.region_side;
+      config.sensing_radius = shape.sensing_radius;
       cool::util::Rng rng(seed * 101 + n * 7 + day);
       const auto network = cool::net::make_random_network(config, rng);
       const auto problem = cool::core::Problem::detection_instance(
@@ -78,7 +93,7 @@ int main(int argc, char** argv) {
           (cool::core::evaluate(problem, stoch.schedule).total_utility / plain_u -
            1.0));
     }
-    table.row({cool::util::format("%zu", n),
+    table.row({shape.label,
                cool::util::format("%.0f", plain_calls.mean()),
                cool::util::format("%.0f", lazy_calls.mean()),
                cool::util::format("%.0f", stoch_calls.mean()),
@@ -89,9 +104,11 @@ int main(int argc, char** argv) {
                cool::util::format("%+.2f%%", stoch_rel.mean())});
   }
   table.print(std::cout);
-  std::printf("\nexpected: CELF matches plain utility up to tie-breaking "
-              "noise at a growing oracle saving; stochastic greedy cuts "
-              "oracles by another order of magnitude for a few percent of "
+  std::printf("\nexpected: lazy greedy matches plain utility exactly "
+              "(lazy-delta 0) at a growing oracle saving; on these short "
+              "coverage rows its wall time stays near the scan's, and the "
+              "scan wins clearly on the all-overlap row; stochastic greedy "
+              "cuts oracles further for a fraction of a percent of "
               "utility.\n");
   return 0;
 }

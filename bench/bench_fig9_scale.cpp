@@ -1,6 +1,6 @@
 // Figure 9: average utility per target per time-slot as the system scales —
 // number of sensors n ∈ {100..500} × number of targets m ∈ {10..50}
-// (p = 0.4, ρ = 3, T = 4). Uses the lazy (CELF) greedy, which produces the
+// (p = 0.4, ρ = 3, T = 4). Uses the lazy greedy, which produces the
 // same schedules as Algorithm 1 with far fewer oracle calls.
 //
 //   ./bench_fig9_scale [--days 5] [--seed 2] [--csv fig9.csv]

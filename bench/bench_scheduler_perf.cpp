@@ -13,9 +13,8 @@
 //                     --perf-n / --perf-reps / --seed size that workload.
 //                     A non-default --perf-n names the record
 //                     bench_scheduler_perf_n<N> so each problem size gets
-//                     its own baseline rows (the n=800 row is where the
-//                     lazy_speedup metric is meaningful; at n=200 the CELF
-//                     bookkeeping costs more than the skipped scans).
+//                     its own baseline rows (lazy_speedup is plain
+//                     greedy time over lazy greedy time at each size).
 //                     The workload runs against a persistent PlannerContext
 //                     (scratch states + arena), and when the allocation
 //                     hooks are compiled in the run also records

@@ -37,11 +37,10 @@ echo "== bench_scheduler_perf (n=200, best of 3) =="
 "${bench_dir}/bench_scheduler_perf" --json "${workdir}/scheduler_perf.json" \
   --perf-n 200 --perf-reps 3 --seed 42
 
-# Larger-n point (record bench_scheduler_perf_n800): the scale where the
-# CELF lazy heap actually pays for its bookkeeping. At n=200 the scan is so
-# cheap that lazy_speedup sits below 1; reporting both points keeps that
-# metric honest instead of looking like a regression. COOL_BENCH_LARGE_N
-# overrides the size ("" skips the run).
+# Larger-n point (record bench_scheduler_perf_n800): coold-large-closed's
+# sensor count, where the lazy heap's oracle saving grows with n; reporting
+# both points shows how lazy_speedup (plain / lazy wall time) moves with
+# the size. COOL_BENCH_LARGE_N overrides the size ("" skips the run).
 for big_n in ${COOL_BENCH_LARGE_N-800}; do
   echo "== bench_scheduler_perf (n=${big_n}, best of 3) =="
   "${bench_dir}/bench_scheduler_perf" \

@@ -156,7 +156,7 @@ struct Response {
   std::string error;           // error slug when !ok
   double retry_after_ms = 0.0; // backpressure hint on shed_overload
   int degrade = -1;            // ladder level actually used
-  std::string planner;         // "lazy_greedy" | "greedy" | "hef" | "repair"
+  std::string planner;         // "lazy_greedy" | "hef" | "repair"
   double utility = 0.0;        // per-period utility of the resulting schedule
   std::size_t oracle_calls = 0;
   bool has_assignments = false;

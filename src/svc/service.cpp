@@ -8,7 +8,6 @@
 
 #include "core/baselines.h"
 #include "core/cancel.h"
-#include "core/greedy.h"
 #include "core/lazy_greedy.h"
 #include "core/repair.h"
 #include "obs/json.h"
@@ -27,20 +26,14 @@ double ms_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
+// Levels 0 and 1 both run the exact lazy greedy (level 1 survives for WAL
+// entries and degrade_min pins that name it); level 2 is the HEF floor.
 const char* planner_name(int level) {
-  switch (level) {
-    case 0: return "lazy_greedy";
-    case 1: return "greedy";
-    default: return "hef";
-  }
+  return level < 2 ? "lazy_greedy" : "hef";
 }
 
 const char* plan_span_name(int level) {
-  switch (level) {
-    case 0: return "plan.lazy_greedy";
-    case 1: return "plan.greedy";
-    default: return "plan.hef";
-  }
+  return level < 2 ? "plan.lazy_greedy" : "plan.hef";
 }
 
 void fill_schedule_payload(Response& response,
@@ -303,10 +296,7 @@ Response CooldService::call(Request request) {
 }
 
 int CooldService::ladder_start_level() const {
-  const double pressure = queue_.pressure();
-  if (pressure < config_.high_watermark) return 0;
-  if (pressure < config_.crit_watermark) return 1;
-  return 2;
+  return queue_.pressure() < config_.crit_watermark ? 0 : 2;
 }
 
 void CooldService::worker_loop() {
@@ -361,13 +351,9 @@ void CooldService::execute_plan(Job& job) {
     const std::uint64_t span_start =
         config_.obs_enabled ? obs::trace_now_us() : 0;
     try {
-      core::GreedyResult result = [&]() -> core::GreedyResult {
-        switch (level) {
-          case 0: return core::LazyGreedyScheduler{}.schedule(session.problem(), ctx);
-          case 1: return core::GreedyScheduler{}.schedule(session.problem(), ctx);
-          default: return core::HefScheduler{}.schedule(session.problem(), ctx);
-        }
-      }();
+      core::GreedyResult result =
+          level < 2 ? core::LazyGreedyScheduler{}.schedule(session.problem(), ctx)
+                    : core::HefScheduler{}.schedule(session.problem(), ctx);
       job.response.ok = true;
       job.response.degrade = level;
       job.response.planner = planner_name(level);

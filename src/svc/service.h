@@ -10,12 +10,14 @@
 //   Phase B (parallel)  plan. pop_batch() guarantees one ticket per
 //     network, so the jobs touch disjoint sessions; they run on the PR 5
 //     work-stealing pool. Each job walks the degradation ladder:
-//         level 0  lazy greedy   (fastest high-quality planner)
-//         level 1  plain greedy  (no priority-queue overhead)
+//         level 0  lazy greedy   (exact Algorithm 1, the fastest planner)
+//         level 1  lazy greedy   (kept so logged and pinned level-1
+//                                 requests replay)
 //         level 2  HEF-style single pass (O(n·T), never cancelled)
-//     The starting level comes from queue pressure (backlog rises -> start
-//     cheaper); levels 0 and 1 run under the request's deadline budget and
-//     a blown budget jumps straight to the always-completing floor.
+//     The starting level comes from queue pressure (past the critical
+//     watermark -> start at the floor); levels 0 and 1 run under the
+//     request's deadline budget and a blown budget jumps straight to the
+//     always-completing floor.
 //   Phase C (serial, admission order)  assign LSNs to successful mutations,
 //     append them to the WAL — including the ladder level actually used —
 //     fsync once for the whole batch, then and only then invoke the
@@ -74,8 +76,9 @@ struct ServiceConfig {
   std::size_t batch_max = 8;
   std::size_t session_capacity = 64;
   double default_deadline_ms = 1000.0;  // used when a request sends none
-  // Queue-pressure thresholds for the degradation ladder's starting level:
-  // below high -> lazy greedy, below crit -> plain greedy, else HEF floor.
+  // Queue-pressure thresholds. The ladder starts at lazy greedy below crit
+  // and at the HEF floor from crit up; the healthz verdict reads ok below
+  // high, degraded below crit, else overloaded.
   double high_watermark = 0.5;
   double crit_watermark = 0.85;
   std::string wal_dir = "coold-state";

@@ -12,7 +12,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/greedy.h"
 #include "svc/service.h"
+#include "svc/session.h"
 #include "svc/wal.h"
 #include "util/parallel.h"
 
@@ -125,6 +127,34 @@ TEST_F(SvcServiceTest, DegradeMinPinsLadderLevel) {
   ASSERT_TRUE(response.ok) << response.error;
   EXPECT_EQ(response.degrade, 2);
   EXPECT_EQ(response.planner, "hef");
+  service.stop();
+}
+
+TEST_F(SvcServiceTest, ExactRungsRunLazyGreedyBelowCritWatermark) {
+  // The ladder is exact greedy -> HEF. Below crit_watermark every plan
+  // starts on lazy greedy; high_watermark only sets the healthz verdict.
+  // A level-1 pin runs the same planner.
+  svc::ServiceConfig config = make_config();
+  config.high_watermark = 0.0;
+  svc::CooldService service(config);
+  service.start();
+  const svc::Response scheduled = service.call(schedule_request("t1"));
+  ASSERT_TRUE(scheduled.ok) << scheduled.error;
+  EXPECT_EQ(scheduled.degrade, 0);
+  EXPECT_EQ(scheduled.planner, "lazy_greedy");
+
+  svc::Request pinned = replan_request("t1");
+  pinned.degrade_min = 1;
+  const svc::Response replanned = service.call(std::move(pinned));
+  ASSERT_TRUE(replanned.ok) << replanned.error;
+  EXPECT_EQ(replanned.degrade, 1);
+  EXPECT_EQ(replanned.planner, "lazy_greedy");
+  EXPECT_EQ(svc::schedule_from_response(replanned),
+            svc::schedule_from_response(scheduled));
+
+  svc::Request healthz;
+  healthz.type = svc::RequestType::kHealthz;
+  EXPECT_EQ(service.call(std::move(healthz)).detail, "degraded");
   service.stop();
 }
 
@@ -313,6 +343,30 @@ TEST_F(SvcServiceTest, HandWrittenWalReplaysToLiveState) {
             svc::schedule_from_response(live.call(status_request("t1"))));
   replica.stop();
   live.stop();
+}
+
+TEST_F(SvcServiceTest, LevelOneWalEntryReplaysBitIdentical) {
+  // Daemons whose ladder ran the plain greedy scan at level 1 logged such
+  // plans as degrade 1. Replay now runs lazy greedy there and must rebuild
+  // the plain scan's schedule bit for bit.
+  const svc::Request request = schedule_request("t1", 23);
+  const core::PeriodicSchedule plain =
+      core::GreedyScheduler{}.schedule(svc::make_problem(request.spec)).schedule;
+  {
+    svc::WalWriter writer(dir_, false);
+    svc::WalEntry entry;
+    entry.lsn = 1;
+    entry.degrade = 1;
+    entry.request = request;
+    writer.append(entry);
+    writer.sync();
+  }
+  svc::CooldService replica(make_config());
+  EXPECT_EQ(replica.stats().replayed, 1u);
+  replica.start();
+  EXPECT_EQ(svc::schedule_from_response(replica.call(status_request("t1"))),
+            plain);
+  replica.stop();
 }
 
 TEST_F(SvcServiceTest, AcksAfterTornTailRecoveryStayReplayable) {

@@ -15,7 +15,8 @@
 //   --batch-max N         max requests per worker batch  (default 8)
 //   --sessions N          resident session cap (LRU)     (default 64)
 //   --deadline-ms X       default per-request budget     (default 1000)
-//   --high-watermark X    pressure to start degrading    (default 0.5)
+//   --high-watermark X    pressure where healthz reads degraded (default
+//                         0.5); it does not move the ladder
 //   --crit-watermark X    pressure to start at the floor (default 0.85)
 //   --snapshot-every N    WAL entries between snapshots  (default 64)
 //   --no-fsync            skip fsync (benchmarks only — crash safety off)
