@@ -20,6 +20,13 @@
 //                     hooks are compiled in the run also records
 //                     greedy/lazy_steady_alloc_calls: the exact heap
 //                     allocation count of one warmed schedule() call
+//   --repair-shapes <R>
+//                     repair timing mode: skip google-benchmark and, on
+//                     one thread, time R repairs (8 fresh random dead
+//                     sensors each) of a lazy-greedy plan for each
+//                     svc::make_problem shape below, printing the
+//                     median and quartile ms with mean moves and oracle
+//                     calls per shape; --seed picks the instances
 //   --threads <N>     scheduler thread count (util/parallel pool). In json
 //                     mode N > 1 runs the workload serially AND at N
 //                     threads, records *_par_speedup metrics, and names the
@@ -47,6 +54,7 @@
 #include "core/lp_scheduler.h"
 #include "core/passive_greedy.h"
 #include "core/problem.h"
+#include "core/repair.h"
 #include "geometry/arrangement.h"
 #include "geometry/deployment.h"
 #include "lp/simplex.h"
@@ -55,9 +63,11 @@
 #include "obs/prof.h"
 #include "obs/session.h"
 #include "submodular/detection.h"
+#include "svc/session.h"
 #include "util/arena.h"
 #include "util/parallel.h"
 #include "util/rng.h"
+#include "util/stats.h"
 #include "util/strings.h"
 
 namespace {
@@ -296,12 +306,73 @@ int run_json_mode(const std::string& json_path, std::size_t n,
   return 0;
 }
 
+// Repair timing mode: svc::make_problem instances shaped like the
+// small-open and large-closed tenants, the gateway deployment at two
+// densities, and an all-overlap network, each repaired `repairs` times
+// with fresh dead sets.
+int run_repair_shapes(std::size_t repairs, std::uint64_t seed) {
+  struct Shape {
+    const char* name;
+    std::size_t sensors, targets;
+    double radius, side;
+  };
+  const Shape shapes[] = {
+      {"n30/50/r15 (small-open)", 30, 50, 15.0, 100.0},
+      {"n200/40/r40 100 m", 200, 40, 40.0, 100.0},
+      {"n200/40/r40 140 m (gateway)", 200, 40, 40.0, 140.0},
+      {"n800/800/r6 (large-closed)", 800, 800, 6.0, 100.0},
+      {"n800/4/r200 (all overlap)", 800, 4, 200.0, 100.0},
+  };
+  constexpr std::size_t kDead = 8;
+  cool::util::set_thread_count(1);
+  std::printf("%-30s %9s %9s %9s %7s %9s\n", "shape", "p25_ms", "median_ms",
+              "p75_ms", "moves", "oracle");
+  for (const Shape& shape : shapes) {
+    cool::svc::NetworkSpec spec;
+    spec.sensors = shape.sensors;
+    spec.targets = shape.targets;
+    spec.sensing_radius = shape.radius;
+    spec.region_side = shape.side;
+    spec.seed = seed;
+    const auto problem = cool::svc::make_problem(spec);
+    const auto schedule =
+        cool::core::LazyGreedyScheduler().schedule(problem).schedule;
+    cool::util::Rng rng(seed);
+    std::vector<double> ms;
+    double moves = 0.0, oracle = 0.0;
+    for (std::size_t r = 0; r < repairs; ++r) {
+      std::vector<std::uint8_t> dead(shape.sensors, 0);
+      for (std::size_t killed = 0; killed < kDead;) {
+        const auto v = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(shape.sensors) - 1));
+        if (!dead[v]) {
+          dead[v] = 1;
+          ++killed;
+        }
+      }
+      const auto start = std::chrono::steady_clock::now();
+      const auto result =
+          cool::core::repair_schedule(schedule, problem.slot_utility(), dead);
+      ms.push_back(ms_since(start));
+      moves += static_cast<double>(result.moves);
+      oracle += static_cast<double>(result.oracle_calls);
+    }
+    const double count = static_cast<double>(repairs);
+    std::printf("%-30s %9.3f %9.3f %9.3f %7.1f %9.0f\n", shape.name,
+                cool::util::percentile(ms, 0.25),
+                cool::util::percentile(ms, 0.5),
+                cool::util::percentile(ms, 0.75), moves / count,
+                oracle / count);
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   // Peel our flags; everything else passes through to google-benchmark.
   std::string json_path, trace_path, metrics_path, profile_path;
-  std::size_t perf_n = 200, perf_reps = 3, threads = 1;
+  std::size_t perf_n = 200, perf_reps = 3, threads = 1, repair_shapes = 0;
   std::uint64_t seed = 42;
   int profile_hz = 0;
   std::vector<char*> passthrough{argv[0]};
@@ -345,6 +416,10 @@ int main(int argc, char** argv) {
       seed = static_cast<std::uint64_t>(cool::util::parse_int(number));
       continue;
     }
+    if (flag_value("--repair-shapes", &number)) {
+      repair_shapes = static_cast<std::size_t>(cool::util::parse_int(number));
+      continue;
+    }
     if (flag_value("--threads", &number)) {
       threads = static_cast<std::size_t>(cool::util::parse_int(number));
       continue;
@@ -356,6 +431,7 @@ int main(int argc, char** argv) {
   const auto provenance = cool::obs::Provenance::collect(seed, argc, argv);
   cool::obs::ObsSession obs(trace_path, metrics_path, profile_path, profile_hz,
                             provenance);
+  if (repair_shapes > 0) return run_repair_shapes(repair_shapes, seed);
   if (!json_path.empty())
     return run_json_mode(json_path, perf_n, perf_reps, seed, threads,
                          provenance);

@@ -39,8 +39,10 @@ if [ "${mode}" = "tsan" ]; then
   # into the seqlock sample ring while collect() snapshots it, and the span
   # stack is pushed/popped from worker threads. Arena/MarginalKernel cover
   # the arena-backed planner scratch and the SIMD/scalar kernel
-  # differential suites.
-  default_filter='Parallel|BatchEval|Greedy|LazyGreedy|StochasticGreedy|PassiveGreedy|Evaluator|LpScheduler|Campaign|Backoff|LossyCollection|DeliveredCoverage|Svc|StateReuse|Flight|Introspect|MetricsRegistryThreads|LogConcurrency|Prof|Arena|MarginalKernel|FusedScan'
+  # differential suites. Repair covers the move-scorer differential suite
+  # the svc worker reaches on every repair; Network covers the lazily
+  # built neighbour lists, whose first use may race across campaign days.
+  default_filter='Parallel|BatchEval|Greedy|LazyGreedy|StochasticGreedy|PassiveGreedy|Evaluator|LpScheduler|Campaign|Backoff|LossyCollection|DeliveredCoverage|Svc|StateReuse|Flight|Introspect|MetricsRegistryThreads|LogConcurrency|Prof|Arena|MarginalKernel|FusedScan|Repair|Network'
   for threads in 2 4; do
     echo "== TSan pass: COOL_THREADS=${threads} =="
     COOL_THREADS="${threads}" ctest --output-on-failure -j "$(nproc)" \

@@ -12,7 +12,7 @@ namespace cool::core {
 
 namespace {
 
-constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+constexpr std::size_t kNoSlot = sub::SlotPartition::kNoSlot;
 
 class MaskedState final : public sub::EvalState {
  public:
@@ -81,8 +81,9 @@ RepairResult repair_schedule(const PeriodicSchedule& schedule,
 
   RepairResult result{PeriodicSchedule(n, T)};
 
-  // Clear dead rows; mark the slots they vacated as affected.
-  std::vector<std::uint8_t> affected(T, 0);
+  // Clear dead rows. Moves are scored into every slot in a full search,
+  // else only into the affected ones: slots a dead sensor vacated.
+  std::vector<std::uint8_t> scored(T, config.restrict_to_affected ? 0 : 1);
   std::vector<std::size_t> home(n, kNoSlot);
   std::vector<std::uint8_t> movable(n, 0);
   std::vector<std::vector<std::size_t>> slot_sets(T);
@@ -91,7 +92,7 @@ RepairResult repair_schedule(const PeriodicSchedule& schedule,
     for (std::size_t t = 0; t < T; ++t) {
       if (!schedule.active(v, t)) continue;
       if (dead[v]) {
-        affected[t] = 1;
+        scored[t] = 1;
         continue;
       }
       result.schedule.set_active(v, t);
@@ -108,48 +109,29 @@ RepairResult repair_schedule(const PeriodicSchedule& schedule,
 
   const std::size_t max_moves =
       config.max_moves > 0 ? config.max_moves : 4 * n;
-  // Incremental caches: a move only changes two slot sets, so losses and
-  // gains tied to the untouched slots stay exact between rounds. `dirty`
-  // marks the slots whose cached numbers must be refreshed.
-  std::vector<std::unique_ptr<sub::EvalState>> states(T);
+  // A move only changes two slot sets, so the oracle's scorer refreshes
+  // the losses and gains that move can reach and keeps the rest.
   std::vector<double> loss(n, 0.0);
-  std::vector<std::vector<double>> gain(n, std::vector<double>(T, 0.0));
-  std::vector<std::uint8_t> dirty(T, 1);
+  std::vector<double> gain(n * T, 0.0);
+  sub::SlotPartition partition;
+  partition.slot_count = T;
+  partition.members = &slot_sets;
+  partition.home = &home;
+  partition.movable = &movable;
+  partition.scored = &scored;
+  partition.loss = &loss;
+  partition.gain = &gain;
+  const auto scorer = utility.make_move_scorer(partition);
+  if (max_moves > 0) result.oracle_calls += scorer->score_all();
   while (result.moves < max_moves) {
-    for (std::size_t t = 0; t < T; ++t) {
-      if (!dirty[t]) continue;
-      states[t] = utility.make_state();
-      for (const auto u : slot_sets[t]) states[t]->add(u);
-    }
-    for (std::size_t v = 0; v < n; ++v) {
-      if (!movable[v]) continue;
-      // Cost of vacating v's current slot: its marginal on the rest of the
-      // slot's active set (exactly U(A) − U(A \ {v})).
-      if (home[v] != kNoSlot && dirty[home[v]]) {
-        const auto rest = utility.make_state();
-        for (const auto u : slot_sets[home[v]])
-          if (u != v) rest->add(u);
-        loss[v] = rest->marginal(v);
-        ++result.oracle_calls;
-      }
-      for (std::size_t t = 0; t < T; ++t) {
-        if (t == home[v] || !dirty[t]) continue;
-        if (config.restrict_to_affected && !affected[t]) continue;
-        gain[v][t] = states[t]->marginal(v);
-        ++result.oracle_calls;
-      }
-    }
-    std::fill(dirty.begin(), dirty.end(), static_cast<std::uint8_t>(0));
-
     double best_delta = config.min_gain;
     std::size_t best_v = n, best_to = T;
     for (std::size_t v = 0; v < n; ++v) {
       if (!movable[v]) continue;
       const double vacate = home[v] != kNoSlot ? loss[v] : 0.0;
       for (std::size_t t = 0; t < T; ++t) {
-        if (t == home[v]) continue;
-        if (config.restrict_to_affected && !affected[t]) continue;
-        const double delta = gain[v][t] - vacate;
+        if (t == home[v] || !scored[t]) continue;
+        const double delta = gain[v * T + t] - vacate;
         if (delta > best_delta) {
           best_delta = delta;
           best_v = v;
@@ -159,19 +141,18 @@ RepairResult repair_schedule(const PeriodicSchedule& schedule,
     }
     if (best_v == n) break;
 
-    if (home[best_v] != kNoSlot) {
-      const std::size_t from = home[best_v];
+    const std::size_t from = home[best_v];
+    if (from != kNoSlot) {
       result.schedule.set_active(best_v, from, false);
       auto& from_set = slot_sets[from];
       from_set.erase(std::find(from_set.begin(), from_set.end(), best_v));
-      affected[from] = 1;  // the vacated slot may now need patching too
-      dirty[from] = 1;
+      scored[from] = 1;  // a vacated slot is affected: repairs cascade
     }
     result.schedule.set_active(best_v, best_to);
     slot_sets[best_to].push_back(best_v);
     home[best_v] = best_to;
-    dirty[best_to] = 1;
-    ++result.moves;
+    if (++result.moves < max_moves)
+      result.oracle_calls += scorer->moved(best_v, from, best_to);
   }
 
   result.utility_after = surviving_period_utility(result.schedule, utility, dead);

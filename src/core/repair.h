@@ -9,7 +9,9 @@
 // sensor's assignment, so the dissemination delta stays proportional to the
 // damage, and the result provably never loses utility relative to the
 // un-repaired schedule. The repaired-vs-recompute utility gap is what
-// bench_failure_resilience and the resilient runtime report.
+// bench_failure_resilience and the resilient runtime report. The losses
+// and gains that rank moves come from the oracle's MoveScorer
+// (submodular/function.h), which keeps them exact move by move.
 #pragma once
 
 #include <cstddef>
@@ -55,7 +57,11 @@ struct RepairConfig {
 struct RepairResult {
   PeriodicSchedule schedule;           // repaired (dead rows cleared)
   std::size_t moves = 0;               // accepted reassignments
-  std::size_t oracle_calls = 0;        // marginal-gain queries issued
+  // Loss and gain values computed, one per value (each a walk over one
+  // sensor's row, like a marginal() query). The oracle's MoveScorer
+  // decides how many a move needs: the detection oracle refreshes only
+  // sensors sharing a target with the mover, others rebuild both slots.
+  std::size_t oracle_calls = 0;
   double utility_before = 0.0;         // per-period, survivors only, no repair
   double utility_after = 0.0;          // per-period, survivors only, repaired
 };

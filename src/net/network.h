@@ -3,6 +3,8 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "geometry/disk.h"
@@ -47,7 +49,9 @@ class Network {
   std::vector<std::size_t> uncovered_targets() const;
 
   // Communication neighbours (symmetric disk graph on comm_radius; an edge
-  // exists when *both* endpoints reach each other).
+  // exists when *both* endpoints reach each other), ascending by id. Built
+  // on the first call — planning never needs them — and safe to call
+  // concurrently; copies of a network share the built lists.
   const std::vector<std::size_t>& neighbors(std::size_t sensor) const;
 
   // Sensing disks, aligned with sensors() — input for geometric utilities.
@@ -57,8 +61,13 @@ class Network {
   std::vector<Sensor> sensors_;
   std::vector<Target> targets_;
   geom::Rect region_;
-  std::vector<std::vector<std::size_t>> covers_;     // by target
-  std::vector<std::vector<std::size_t>> neighbors_;  // by sensor
+  struct NeighborLists {
+    std::once_flag built;
+    std::vector<std::vector<std::size_t>> by_sensor;
+  };
+
+  std::vector<std::vector<std::size_t>> covers_;  // by target, ascending ids
+  std::shared_ptr<NeighborLists> neighbors_ = std::make_shared<NeighborLists>();
 };
 
 // Random-instance factory used across the evaluation.

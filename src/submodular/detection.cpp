@@ -1,5 +1,6 @@
 #include "submodular/detection.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
@@ -322,6 +323,231 @@ void fused_detection_rows_dynamic(const EvalState* const* states,
   }
 }
 
+// Move-local refresh for the repair search (SlotPartition, DESIGN.md
+// "Incremental schedule repair"). Per slot it keeps what the reference
+// states would hold — weight_t · miss_t, with miss_t = Π (1 − p) over the
+// slot's members covering t, multiplied left to right in slot order — and,
+// per CSR entry of a member, the same fold with that member left out. A
+// loss or gain is then one walk over the element's row with the
+// reference's operands and summation order, so it is bit-identical to
+// marginal() on a freshly built state.
+//
+// Exactness of the local refresh: when x leaves slot f (erased) or joins
+// slot t (appended), every target x does not cover keeps its fold over the
+// same members in the same order, and a marginal reads only its own row's
+// targets. So only x's targets are refolded, only sensors covering one of
+// them get a new loss or gain into f and t, and the per-move work is
+// bounded by x's targets' detector lists rather than by the slots' sizes.
+// Slot order is ascending id for sensors that never moved, then arrival
+// order; each target's detector list is kept in that order by moving the
+// mover's entries to its back, so a refold is a filtered in-order walk.
+class DetectionMoveScorer final : public MoveScorer {
+ public:
+  DetectionMoveScorer(const std::vector<std::size_t>& offsets,
+                      const std::vector<std::uint32_t>& targets,
+                      const std::vector<double>& probs,
+                      const std::vector<double>& weights,
+                      const SlotPartition& partition)
+      : offsets_(offsets.data()),
+        targets_(targets.data()),
+        probs_(probs.data()),
+        weights_(weights.data()),
+        n_(offsets.size() - 1),
+        m_(weights.size()),
+        T_(partition.slot_count),
+        p_(partition),
+        list_offsets_(m_ + 1, 0),
+        list_(targets.size()),
+        weighted_miss_(T_ * m_, 0.0),
+        loo_(targets.size(), 1.0),
+        in_slot_(T_ * n_, 0),
+        seen_(T_, 0),
+        stamp_(n_, 0) {
+    // Detector lists by target, sensors ascending and each sensor's
+    // entries in row order: the initial slot order of every slot.
+    for (std::size_t i = 0; i < targets.size(); ++i)
+      ++list_offsets_[targets_[i] + 1];
+    for (std::size_t t = 0; t < m_; ++t)
+      list_offsets_[t + 1] += list_offsets_[t];
+    std::vector<std::size_t> fill(list_offsets_.begin(), list_offsets_.end() - 1);
+    for (std::size_t v = 0; v < n_; ++v)
+      for (std::size_t i = offsets_[v]; i < offsets_[v + 1]; ++i)
+        list_[fill[targets_[i]]++] = {v, i};
+  }
+
+  std::size_t score_all() override {
+    const auto& members = *p_.members;
+    std::fill(in_slot_.begin(), in_slot_.end(), static_cast<std::uint8_t>(0));
+    for (std::size_t s = 0; s < T_; ++s)
+      for (const auto u : members[s]) in_slot_[s * n_ + u] = 1;
+    for (std::size_t s = 0; s < T_; ++s)
+      for (std::size_t t = 0; t < m_; ++t) refold(s, t);
+    const auto& home = *p_.home;
+    const auto& movable = *p_.movable;
+    const auto& scored = *p_.scored;
+    std::size_t calls = 0;
+    for (std::size_t v = 0; v < n_; ++v) {
+      if (!movable[v]) continue;
+      if (home[v] != SlotPartition::kNoSlot) {
+        (*p_.loss)[v] = loss_of(v);
+        ++calls;
+      }
+      for (std::size_t s = 0; s < T_; ++s) {
+        if (s == home[v] || !scored[s]) continue;
+        (*p_.gain)[v * T_ + s] = gain_of(v, s);
+        ++calls;
+      }
+    }
+    seen_ = scored;
+    return calls;
+  }
+
+  std::size_t moved(std::size_t x, std::size_t from, std::size_t to) override {
+    constexpr std::size_t kNoSlot = SlotPartition::kNoSlot;
+    const auto& home = *p_.home;
+    const auto& movable = *p_.movable;
+    const auto& scored = *p_.scored;
+    if (from != kNoSlot) in_slot_[from * n_ + x] = 0;
+    in_slot_[to * n_ + x] = 1;
+    ++clock_;
+    neighbours_.clear();
+    stamp_[x] = clock_;
+    neighbours_.push_back(x);
+    for (std::size_t i = offsets_[x]; i < offsets_[x + 1]; ++i) {
+      const std::size_t t = targets_[i];
+      if (i > offsets_[x] && targets_[i - 1] == t) continue;  // same target
+      to_back(x, t);
+      if (from != kNoSlot) refold(from, t);
+      refold(to, t, /*collect=*/true);
+    }
+    std::size_t calls = 0;
+    // A slot the search just started to read gets a full gain column.
+    bool full_from = false, full_to = false;
+    for (std::size_t s = 0; s < T_; ++s) {
+      if (!scored[s] || seen_[s]) continue;
+      seen_[s] = 1;
+      full_from |= s == from;
+      full_to |= s == to;
+      for (std::size_t v = 0; v < n_; ++v) {
+        if (!movable[v] || home[v] == s) continue;
+        (*p_.gain)[v * T_ + s] = gain_of(v, s);
+        ++calls;
+      }
+    }
+    const bool gains_from = from != kNoSlot && scored[from] && !full_from;
+    const bool gains_to = scored[to] && !full_to;
+    for (const std::size_t u : neighbours_) {
+      const std::size_t h = home[u];
+      if (h != kNoSlot && (h == from || h == to)) {
+        (*p_.loss)[u] = loss_of(u);
+        ++calls;
+      }
+      if (gains_from && h != from) {
+        (*p_.gain)[u * T_ + from] = gain_of(u, from);
+        ++calls;
+      }
+      if (gains_to && h != to) {
+        (*p_.gain)[u * T_ + to] = gain_of(u, to);
+        ++calls;
+      }
+    }
+    return calls;
+  }
+
+ private:
+  struct Detector {
+    std::size_t sensor;
+    std::size_t entry;  // index into the CSR row arrays
+  };
+
+  // Moves x's entries to the back of target t's list: x is now the newest
+  // arrival in its slot.
+  void to_back(std::size_t x, std::size_t t) {
+    Detector* const begin = list_.data() + list_offsets_[t];
+    Detector* const end = list_.data() + list_offsets_[t + 1];
+    Detector* first = begin;
+    while (first->sensor != x) ++first;
+    Detector* last = first;
+    while (last != end && last->sensor == x) ++last;
+    std::rotate(first, last, end);
+  }
+
+  // Recomputes slot s's fold for target t and, for every movable member
+  // covering t, the fold without that member (an exact leave-one-out:
+  // the prefix before the member continued over the members after it).
+  // With `collect` the same walk gathers t's movable detectors into this
+  // move's neighbours.
+  void refold(std::size_t s, std::size_t t, bool collect = false) {
+    const std::uint8_t* in_slot = in_slot_.data() + s * n_;
+    const auto& movable = *p_.movable;
+    picked_.clear();
+    factor_.clear();
+    double miss = 1.0;
+    for (std::size_t k = list_offsets_[t]; k < list_offsets_[t + 1]; ++k) {
+      const std::size_t u = list_[k].sensor;
+      if (collect && movable[u] && stamp_[u] != clock_) {
+        stamp_[u] = clock_;
+        neighbours_.push_back(u);
+      }
+      if (!in_slot[u]) continue;
+      const double q = 1.0 - probs_[list_[k].entry];
+      picked_.push_back(k);
+      factor_.push_back(q);
+      miss *= q;
+    }
+    weighted_miss_[s * m_ + t] = weights_[t] * miss;
+    const auto& home = *p_.home;
+    const std::size_t count = picked_.size();
+    double prefix = 1.0;
+    for (std::size_t a = 0; a < count;) {
+      const std::size_t u = list_[picked_[a]].sensor;
+      std::size_t b = a + 1;
+      while (b < count && list_[picked_[b]].sensor == u) ++b;
+      if (home[u] == s) {
+        double rest = prefix;
+        for (std::size_t j = b; j < count; ++j) rest *= factor_[j];
+        for (std::size_t j = a; j < b; ++j) loo_[list_[picked_[j]].entry] = rest;
+      }
+      for (std::size_t j = a; j < b; ++j) prefix *= factor_[j];
+      a = b;
+    }
+  }
+
+  // Reference arithmetic: gain += (weight_t * miss_t) * p in row order.
+  double loss_of(std::size_t v) const {
+    double gain = 0.0;
+    for (std::size_t i = offsets_[v]; i < offsets_[v + 1]; ++i)
+      gain += weights_[targets_[i]] * loo_[i] * probs_[i];
+    return gain;
+  }
+
+  double gain_of(std::size_t v, std::size_t s) const {
+    const double* wm = weighted_miss_.data() + s * m_;
+    double gain = 0.0;
+    for (std::size_t i = offsets_[v]; i < offsets_[v + 1]; ++i)
+      gain += wm[targets_[i]] * probs_[i];
+    return gain;
+  }
+
+  const std::size_t* offsets_;
+  const std::uint32_t* targets_;
+  const double* probs_;
+  const double* weights_;
+  std::size_t n_, m_, T_;
+  SlotPartition p_;
+  std::vector<std::size_t> list_offsets_;  // by target, into list_
+  std::vector<Detector> list_;             // each target's detectors, slot order
+  std::vector<double> weighted_miss_;      // [slot * m + target]: weight_t * miss_t
+  std::vector<double> loo_;                // per CSR entry, home slot without its sensor
+  std::vector<std::uint8_t> in_slot_;      // [slot * n + sensor]
+  std::vector<std::uint8_t> seen_;         // scored flags already served
+  std::vector<std::size_t> stamp_;         // neighbour dedup, per move
+  std::size_t clock_ = 0;
+  std::vector<std::size_t> neighbours_;
+  std::vector<std::size_t> picked_;        // refold scratch: list positions
+  std::vector<double> factor_;             // refold scratch: 1 − p per pick
+};
+
 void validate_probability(double p) {
   if (p < 0.0 || p > 1.0)
     throw std::invalid_argument("detection probability outside [0, 1]");
@@ -431,6 +657,12 @@ std::unique_ptr<EvalState> MultiTargetDetectionUtility::make_state() const {
     return std::make_unique<MultiState>(&targets_, &by_sensor_);
   return std::make_unique<FastMultiState>(&csr_offsets_, &csr_targets_,
                                           &csr_probs_, &target_weights_);
+}
+
+std::unique_ptr<MoveScorer> MultiTargetDetectionUtility::make_move_scorer(
+    const SlotPartition& partition) const {
+  return std::make_unique<DetectionMoveScorer>(
+      csr_offsets_, csr_targets_, csr_probs_, target_weights_, partition);
 }
 
 double MultiTargetDetectionUtility::max_value() const {

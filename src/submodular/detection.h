@@ -69,6 +69,11 @@ class MultiTargetDetectionUtility final : public SubmodularFunction {
   std::size_t target_count() const noexcept { return targets_.size(); }
   std::unique_ptr<EvalState> make_state() const override;
   double max_value() const override;
+  // Move-local refresh (DESIGN.md, "Incremental schedule repair"): a
+  // marginal reads only its own row's targets, so a move refreshes just the
+  // sensors sharing a target with the mover, for every kernel setting.
+  std::unique_ptr<MoveScorer> make_move_scorer(
+      const SlotPartition& partition) const override;
 
   const std::vector<Target>& targets() const noexcept { return targets_; }
 

@@ -14,10 +14,13 @@
 //   state->add(e);                        // S ← S ∪ {e}
 //
 // value(S) is provided for tests and one-shot evaluation and is implemented
-// on top of State by default.
+// on top of State by default. Local search over a slot partition (schedule
+// repair) asks instead for a MoveScorer, which keeps every move's loss and
+// gain exact as elements move between slots.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -104,6 +107,48 @@ struct FusedSlotEvaluator {
 FusedSlotEvaluator resolve_fused(
     const std::vector<std::unique_ptr<EvalState>>& states);
 
+// Move scoring for a local search over a slot partition (core/repair.h;
+// DESIGN.md, "Incremental schedule repair"). The search moves one element
+// at a time between slots and ranks moves by, for every movable v,
+//   loss[v]            = U(S_h) − U(S_h \ {v})   over v's home slot h,
+//   gain[v * T + s]    = U(S_s ∪ {v}) − U(S_s)   for each scored slot s ≠ h,
+// each bit-identical to marginal(v) on a fresh state that add()ed the
+// slot's other members in slot order. The caller owns the partition and
+// both tables; the scorer keeps every entry the search reads exact.
+struct SlotPartition {
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+  std::size_t slot_count = 0;
+  // members[s]: slot s's active elements in slot order. Each list starts
+  // ascending; an arriving element is appended and a departing one is
+  // erased, so later orders follow from the moves alone.
+  const std::vector<std::vector<std::size_t>>* members = nullptr;
+  // home[v]: v's only slot; kNoSlot when v is unplaced or sits in several
+  // slots (such elements are never movable).
+  const std::vector<std::size_t>* home = nullptr;
+  const std::vector<std::uint8_t>* movable = nullptr;
+  // scored[s]: gains into s are read. Flags only ever turn on.
+  const std::vector<std::uint8_t>* scored = nullptr;
+  std::vector<double>* loss = nullptr;  // size ground_size()
+  std::vector<double>* gain = nullptr;  // size ground_size() * slot_count
+};
+
+class MoveScorer {
+ public:
+  MoveScorer() = default;
+  MoveScorer(const MoveScorer&) = delete;
+  MoveScorer& operator=(const MoveScorer&) = delete;
+  virtual ~MoveScorer() = default;
+  // Fills every entry the search reads. Returns the number of loss and
+  // gain values computed (each costs about one marginal() query).
+  virtual std::size_t score_all() = 0;
+  // Refreshes the tables after `element` moved from slot `from` (kNoSlot
+  // when it was unplaced) to slot `to`. The partition already reflects the
+  // move, including any slot whose scored flag it just turned on.
+  virtual std::size_t moved(std::size_t element, std::size_t from,
+                            std::size_t to) = 0;
+};
+
 class SubmodularFunction {
  public:
   virtual ~SubmodularFunction() = default;
@@ -120,6 +165,13 @@ class SubmodularFunction {
   // An upper bound on U over the whole ground set: U(V). Used for
   // normalizations and the paper's utility upper bound.
   virtual double max_value() const;
+
+  // Scorer for a local search over `partition` (which must outlive it).
+  // The default rebuilds, for every slot a move touched, one fresh state
+  // for the slot's gains and one per movable member for its loss; the
+  // detection oracle overrides it to refresh only what a move can change.
+  virtual std::unique_ptr<MoveScorer> make_move_scorer(
+      const SlotPartition& partition) const;
 };
 
 }  // namespace cool::sub
