@@ -456,12 +456,18 @@ int main(int argc, char** argv) {
             }
             if (parsed.ok && parsed.response.ok &&
                 parsed.response.has_assignments) {
+              // Threads sharing a tenant wake in any order; the tenant's
+              // durable plan is the one with the highest lsn.
               std::lock_guard<std::mutex> lock(burst_mutex);
-              last_acked.insert_or_assign(
-                  request.network,
-                  svc::schedule_from_response(parsed.response));
+              std::uint64_t& last = last_lsn[request.network];
+              if (parsed.response.lsn > last) {
+                last = parsed.response.lsn;
+                last_acked.insert_or_assign(
+                    request.network,
+                    svc::schedule_from_response(parsed.response));
+              }
             }
-            return;
+            break;  // answered: go on to this thread's next request
           }
         }
       });

@@ -41,8 +41,9 @@ if [ "${mode}" = "tsan" ]; then
   # the arena-backed planner scratch and the SIMD/scalar kernel
   # differential suites. Repair covers the move-scorer differential suite
   # the svc worker reaches on every repair; Network covers the lazily
-  # built neighbour lists, whose first use may race across campaign days.
-  default_filter='Parallel|BatchEval|Greedy|LazyGreedy|StochasticGreedy|PassiveGreedy|Evaluator|LpScheduler|Campaign|Backoff|LossyCollection|DeliveredCoverage|Svc|StateReuse|Flight|Introspect|MetricsRegistryThreads|LogConcurrency|Prof|Arena|MarginalKernel|FusedScan|Repair|Network'
+  # built neighbour lists, whose first use may race across campaign days,
+  # and Link the link model's lazily built edge table, shared the same way.
+  default_filter='Parallel|BatchEval|Greedy|LazyGreedy|StochasticGreedy|PassiveGreedy|Evaluator|LpScheduler|Campaign|Backoff|LossyCollection|DeliveredCoverage|Svc|StateReuse|Flight|Introspect|MetricsRegistryThreads|LogConcurrency|Prof|Arena|MarginalKernel|FusedScan|Repair|Network|Link'
   for threads in 2 4; do
     echo "== TSan pass: COOL_THREADS=${threads} =="
     COOL_THREADS="${threads}" ctest --output-on-failure -j "$(nproc)" \

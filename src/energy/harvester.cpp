@@ -30,18 +30,12 @@ HarvestSimulator::HarvestSimulator(const SolarModel& solar, Weather weather,
     throw std::invalid_argument("HarvestSimulator: ready power < 0");
 }
 
-double HarvestSimulator::charge_power_at(double minute_of_day) {
-  last_attenuation_ = clouds_.attenuation(minute_of_day);
-  const double irradiance =
-      solar_->clear_sky_irradiance(minute_of_day) * last_attenuation_;
-  return cell_.charge_power(irradiance);
-}
-
 double HarvestSimulator::step(double minute_of_day, double dt_min, bool node_active) {
   if (dt_min < 0.0) throw std::invalid_argument("HarvestSimulator::step: dt < 0");
-  const double power_in = charge_power_at(minute_of_day);
+  const double attenuation = clouds_.attenuation(minute_of_day);
   const double irradiance =
-      solar_->clear_sky_irradiance(minute_of_day) * last_attenuation_;
+      solar_->clear_sky_irradiance(minute_of_day) * attenuation;
+  const double power_in = cell_.charge_power(irradiance);
   const double seconds = dt_min * 60.0;
   if (node_active) {
     // Active nodes run off the battery; harvest still tops it up.

@@ -49,16 +49,13 @@ class HarvestSimulator {
 
   // Advances `dt_min` minutes from `minute_of_day`, charging the battery
   // when the node is not active and discharging when it is. Returns the lux
-  // reading at the step start (what Fig 7 plots).
+  // reading at the step start (what Fig 7 plots). Consumes cloud noise:
+  // minutes are expected to be monotone, like CloudField's.
   double step(double minute_of_day, double dt_min, bool node_active);
 
   const Battery& battery() const noexcept { return battery_; }
   Battery& battery() noexcept { return battery_; }
   const NodeEnergyConfig& node() const noexcept { return node_; }
-
-  // Instantaneous charge power (W) at the given minute (consumes cloud
-  // noise; monotone minutes expected, like CloudField).
-  double charge_power_at(double minute_of_day);
 
  private:
   const SolarModel* solar_;
@@ -66,7 +63,6 @@ class HarvestSimulator {
   NodeEnergyConfig node_;
   CloudField clouds_;
   Battery battery_;
-  double last_attenuation_ = 1.0;
 };
 
 }  // namespace cool::energy

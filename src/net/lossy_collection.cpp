@@ -1,6 +1,7 @@
 #include "net/lossy_collection.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "obs/obs.h"
@@ -32,9 +33,16 @@ LossyCollection::LossyCollection(const Network& network, const RoutingTree& tree
                                  const LinkModel& links,
                                  const RadioEnergyModel& radio,
                                  const LossyCollectionConfig& config)
-    : network_(&network), tree_(&tree), links_(&links), radio_(&radio),
-      config_(config), backoff_policy_(config.backoff),
-      queue_(network.sensor_count()),
+    : network_(&network), tree_(&tree), config_(config),
+      backoff_policy_(config.backoff),
+      ring_(network.sensor_count() * config.queue_capacity),
+      head_(network.sensor_count(), 0),
+      depth_(network.sensor_count(), 0),
+      backlog_((network.sensor_count() + 63) / 64, 0),
+      is_tx_(network.sensor_count(), 0),
+      collisions_at_(network.sensor_count(), 0),
+      uplink_p_(links.uplink_probabilities(tree)),
+      downlink_p_(links.downlink_probabilities(tree)),
       arq_(network.sensor_count(), BackoffSchedule(backoff_policy_)),
       wait_(network.sensor_count(), 0),
       origin_seq_(network.sensor_count(), 0),
@@ -46,11 +54,29 @@ LossyCollection::LossyCollection(const Network& network, const RoutingTree& tree
   // arq_ elements were copy-constructed from a schedule pointing at the
   // ctor argument's policy; rebind them to the member copy.
   for (auto& schedule : arq_) schedule = BackoffSchedule(backoff_policy_);
+  tx_j_ = radio.tx_energy_j();
+  rx_j_ = radio.rx_energy_j();
+  listen_j_ = radio.idle_energy_j(config_.idle_listen_s);
+}
+
+void LossyCollection::push_back(std::size_t node, const Packet& packet) {
+  const std::size_t capacity = config_.queue_capacity;
+  std::size_t at = head_[node] + depth_[node];
+  if (at >= capacity) at -= capacity;
+  ring_[node * capacity + at] = packet;
+  if (depth_[node]++ == 0)
+    backlog_[node / 64] |= std::uint64_t{1} << (node % 64);
+}
+
+void LossyCollection::pop_front(std::size_t node) {
+  if (++head_[node] == config_.queue_capacity) head_[node] = 0;
+  if (--depth_[node] == 0)
+    backlog_[node / 64] &= ~(std::uint64_t{1} << (node % 64));
 }
 
 void LossyCollection::drop_head_exhausted(std::size_t node, std::size_t slot,
                                           LossySlotReport& report) {
-  queue_[node].pop_front();
+  pop_front(node);
   arq_[node].reset();
   wait_[node] = 0;
   ++report.drops_retry;
@@ -107,52 +133,53 @@ LossySlotReport LossyCollection::step(std::size_t slot,
     const bool con =
         config_.con_every > 0 && origin_seq_[v] % config_.con_every == 0;
     ++origin_seq_[v];
-    if (queue_[v].size() >= config_.queue_capacity) {
+    if (depth_[v] >= config_.queue_capacity) {
       ++report.drops_overflow;
       continue;
     }
-    queue_[v].push_back({v, slot, con});
+    push_back(v, {v, slot, con});
   }
 
   // 2. Contention/ARQ subslot machine.
-  std::vector<std::size_t> transmitters;
-  std::vector<std::uint8_t> is_tx(n, 0);
-  std::vector<std::uint32_t> collisions_at(n, 0);
+  std::fill(collisions_at_.begin(), collisions_at_.end(), 0);
   for (std::size_t sub = 0; sub < config_.subslots; ++sub) {
     // Gather this subslot's transmitters (ascending order: the rng draw
-    // sequence is part of the determinism contract).
-    transmitters.clear();
-    std::fill(is_tx.begin(), is_tx.end(), 0);
-    for (std::size_t v = 0; v < n; ++v) {
-      if (wait_[v] > 0) {
-        --wait_[v];  // the backoff timer runs in real time
-        continue;
+    // sequence is part of the determinism contract). Only backlogged nodes
+    // can act: an empty queue means no packet and no backoff timer. The
+    // sink never queues (its readings and everything it hears are
+    // delivered), so it never appears here. Eligibility is re-tested every
+    // subslot: a node whose head packet exhausts its budget mid-slot can
+    // enter probation and is radio-dark from its next subslot on.
+    transmitters_.clear();
+    for (std::size_t w = 0; w < backlog_.size(); ++w) {
+      for (std::uint64_t bits = backlog_[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t v =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        if (wait_[v] > 0) {
+          --wait_[v];  // the backoff timer runs in real time
+          continue;
+        }
+        if (!tx_eligible(v, slot) || radio_dark(v, slot) || !up(v)) continue;
+        if (!rng.bernoulli(config_.csma_persist)) continue;  // defer (CSMA)
+        transmitters_.push_back(v);
+        is_tx_[v] = 1;
       }
-      if (v == sink || queue_[v].empty() || !tx_eligible(v, slot)) continue;
-      if (radio_dark(v, slot) || !up(v)) continue;
-      if (!rng.bernoulli(config_.csma_persist)) continue;  // defer (CSMA)
-      transmitters.push_back(v);
-      is_tx[v] = 1;
     }
 
-    for (const std::size_t t : transmitters) {
-      Packet& pkt = queue_[t].front();
+    for (const std::size_t t : transmitters_) {
+      Packet& pkt = front(t);
       const std::size_t r = tree_->parent(t);
       const bool retry = pkt.con && arq_[t].attempts() > 0;
       ++report.transmissions;
       if (retry) ++report.retries;
-      report.node_energy_j[t] += radio_->tx_energy_j();
+      report.node_energy_j[t] += tx_j_;
 
       // Collision: another simultaneous transmitter interferes at r — it is
       // r itself (half-duplex), or any transmitter in r's comm range.
-      bool collided = false;
-      if (is_tx[r]) {
-        collided = true;
-      } else {
-        for (const std::size_t u : transmitters) {
-          if (u == t) continue;
-          const auto& nbrs = network_->neighbors(r);
-          if (std::find(nbrs.begin(), nbrs.end(), u) != nbrs.end()) {
+      bool collided = is_tx_[r] != 0;
+      if (!collided) {
+        for (const std::size_t u : network_->neighbors(r)) {
+          if (u != t && is_tx_[u]) {
             collided = true;
             break;
           }
@@ -160,17 +187,17 @@ LossySlotReport LossyCollection::step(std::size_t slot,
       }
       const bool receiver_up = r == sink || up(r);
       const bool success = receiver_up && !collided &&
-                           links_->try_deliver(t, r, rng);
+                           rng.bernoulli(uplink_p_[t]);
       if (collided) {
         ++report.collisions;
-        ++collisions_at[r];
+        ++collisions_at_[r];
       }
 
       if (!success) {
         if (!pkt.con) {
           // NON: fire and forget — the sender never learns, the packet dies.
           ++report.non_lost;
-          queue_[t].pop_front();
+          pop_front(t);
           arq_[t].reset();
           continue;
         }
@@ -184,28 +211,28 @@ LossySlotReport LossyCollection::step(std::size_t slot,
       }
 
       // Data landed.
-      report.node_energy_j[r] += radio_->rx_energy_j();
+      report.node_energy_j[r] += rx_j_;
       if (pkt.con) {
         // Ack races back. A lost ack costs a duplicate data+ack exchange
         // (the receiver dedups), billed here without re-entering the
         // contention machine — the bounded approximation the dissemination
         // layer also uses.
         ++report.acks;
-        report.node_energy_j[r] += radio_->tx_energy_j();
-        if (links_->try_deliver(r, t, rng)) {
-          report.node_energy_j[t] += radio_->rx_energy_j();
+        report.node_energy_j[r] += tx_j_;
+        if (rng.bernoulli(downlink_p_[t])) {
+          report.node_energy_j[t] += rx_j_;
         } else {
           ++report.duplicates;
           ++report.transmissions;
           ++report.acks;
-          report.node_energy_j[t] += radio_->tx_energy_j();
+          report.node_energy_j[t] += tx_j_;
           report.node_energy_j[r] +=
-              radio_->rx_energy_j() + radio_->tx_energy_j();
-          report.node_energy_j[t] += radio_->rx_energy_j();
+              rx_j_ + tx_j_;
+          report.node_energy_j[t] += rx_j_;
         }
       }
       const Packet landed = pkt;
-      queue_[t].pop_front();
+      pop_front(t);
       arq_[t].reset();
       exhaust_streak_[t] = 0;
       if (r == sink) {
@@ -215,30 +242,31 @@ LossySlotReport LossyCollection::step(std::size_t slot,
         } else {
           ++report.delivered_late;
         }
-      } else if (queue_[r].size() >= config_.queue_capacity) {
+      } else if (depth_[r] >= config_.queue_capacity) {
         // Transported, acked — and dropped on the relay's full queue: the
         // nastiest loss mode, invisible to the sender.
         ++report.drops_overflow;
       } else {
-        queue_[r].push_back(landed);
+        push_back(r, landed);
       }
     }
+    for (const std::size_t t : transmitters_) is_tx_[t] = 0;
   }
 
   // 3. End-of-slot accounting.
   for (std::size_t v = 0; v < n; ++v) {
-    report.queued_end += queue_[v].size();
-    report.max_queue_depth = std::max(report.max_queue_depth, queue_[v].size());
-    if (collisions_at[v] > report.hot_node_collisions) {
-      report.hot_node_collisions = collisions_at[v];
+    report.queued_end += depth_[v];
+    report.max_queue_depth = std::max(report.max_queue_depth, depth_[v]);
+    if (collisions_at_[v] > report.hot_node_collisions) {
+      report.hot_node_collisions = collisions_at_[v];
       report.hot_node = v;
     }
     // Radio-on nodes pay low-power listen; probation/radio-dark nodes and
     // idle empty-queue nodes sleep.
-    const bool radio_on = (active[v] != 0 || !queue_[v].empty() || v == sink) &&
+    const bool radio_on = (active[v] != 0 || depth_[v] > 0 || v == sink) &&
                           !radio_dark(v, slot) && up(v);
     if (radio_on)
-      report.node_energy_j[v] += radio_->idle_energy_j(config_.idle_listen_s);
+      report.node_energy_j[v] += listen_j_;
     report.radio_energy_j += report.node_energy_j[v];
     node_energy_total_[v] += report.node_energy_j[v];
   }

@@ -126,21 +126,24 @@ std::vector<std::size_t> Network::uncovered_targets() const {
 
 const std::vector<std::size_t>& Network::neighbors(std::size_t sensor) const {
   if (sensor >= sensors_.size()) throw std::out_of_range("Network::neighbors");
-  std::call_once(neighbors_->built, [this] {
-    auto& lists = neighbors_->by_sensor;
-    lists.resize(sensors_.size());
-    for (std::size_t a = 0; a < sensors_.size(); ++a) {
-      for (std::size_t b = a + 1; b < sensors_.size(); ++b) {
-        const double reach =
-            std::min(sensors_[a].comm_radius, sensors_[b].comm_radius);
-        if (sensors_[a].position.distance2_to(sensors_[b].position) <=
-            reach * reach) {
-          lists[a].push_back(b);
-          lists[b].push_back(a);
+  if (!neighbors_->ready.load(std::memory_order_acquire)) {
+    std::call_once(neighbors_->built, [this] {
+      auto& lists = neighbors_->by_sensor;
+      lists.resize(sensors_.size());
+      for (std::size_t a = 0; a < sensors_.size(); ++a) {
+        for (std::size_t b = a + 1; b < sensors_.size(); ++b) {
+          const double reach =
+              std::min(sensors_[a].comm_radius, sensors_[b].comm_radius);
+          if (sensors_[a].position.distance2_to(sensors_[b].position) <=
+              reach * reach) {
+            lists[a].push_back(b);
+            lists[b].push_back(a);
+          }
         }
       }
-    }
-  });
+      neighbors_->ready.store(true, std::memory_order_release);
+    });
+  }
   return neighbors_->by_sensor[sensor];
 }
 

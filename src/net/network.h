@@ -2,6 +2,7 @@
 // a_ij (paper Section IV-A-1), and the communication graph used by routing.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <mutex>
@@ -61,8 +62,11 @@ class Network {
   std::vector<Sensor> sensors_;
   std::vector<Target> targets_;
   geom::Rect region_;
+  // `ready` turns true once the lists are built, so calls after the first
+  // skip call_once's per-call bookkeeping.
   struct NeighborLists {
     std::once_flag built;
+    std::atomic<bool> ready{false};
     std::vector<std::vector<std::size_t>> by_sensor;
   };
 

@@ -13,8 +13,9 @@ DeltaDisseminator::DeltaDisseminator(const net::Network& network,
                                      const LinkModel& links,
                                      const net::RadioEnergyModel& radio,
                                      DeltaDisseminationConfig config)
-    : tree_(&tree), links_(&links), radio_(&radio), config_(config),
-      backoff_(config.backoff_policy()),
+    : tree_(&tree), uplink_p_(links.uplink_probabilities(tree)),
+      downlink_p_(links.downlink_probabilities(tree)), radio_(&radio),
+      config_(config), backoff_(config.backoff_policy()),
       pending_(network.sensor_count(), 0),
       next_attempt_slot_(network.sensor_count(), 0),
       failures_(network.sensor_count(), 0) {}
@@ -44,21 +45,21 @@ bool DeltaDisseminator::attempt(std::size_t node,
   if (node == tree_->sink()) return true;  // gateway updates itself
   const auto path = tree_->path_to_sink(node);  // node -> ... -> sink
   // Walk sink -> node; every receiver must be up (the sink only transmits).
+  // Each hop is parent -> child: data down the tree edge, the ack back up.
   for (std::size_t i = path.size(); i-- > 1;) {
-    const std::size_t from = path[i];
-    const std::size_t to = path[i - 1];
-    const bool receiver_up = up[to] != 0;
+    const std::size_t child = path[i - 1];
+    const bool receiver_up = up[child] != 0;
     bool hop_ok = false;
     for (std::size_t tx = 0; tx <= config_.arq.max_retransmissions; ++tx) {
       ++report.data_transmissions;
       report.radio_energy_j += radio_->tx_energy_j();
-      if (!receiver_up || !links_->try_deliver(from, to, rng)) continue;
+      if (!receiver_up || !rng.bernoulli(downlink_p_[child])) continue;
       report.radio_energy_j += radio_->rx_energy_j();
       // The ack races back; a lost ack costs a duplicate but the receiver
       // already holds the data, so the hop still succeeds.
       ++report.ack_transmissions;
       report.radio_energy_j += radio_->tx_energy_j();
-      if (!config_.arq.lossy_acks || links_->try_deliver(to, from, rng))
+      if (!config_.arq.lossy_acks || rng.bernoulli(uplink_p_[child]))
         report.radio_energy_j += radio_->rx_energy_j();
       hop_ok = true;
       break;
@@ -116,21 +117,24 @@ ScheduleDissemination::ScheduleDissemination(const net::Network& network,
                                              const LinkModel& links,
                                              const net::RadioEnergyModel& radio,
                                              DisseminationConfig config)
-    : network_(&network), tree_(&tree), links_(&links), radio_(&radio),
+    : network_(&network), tree_(&tree),
+      uplink_p_(links.uplink_probabilities(tree)),
+      downlink_p_(links.downlink_probabilities(tree)), radio_(&radio),
       config_(config) {}
 
-bool ScheduleDissemination::reliable_hop(std::size_t from, std::size_t to,
-                                         util::Rng& rng,
+bool ScheduleDissemination::reliable_hop(std::size_t child, util::Rng& rng,
                                          DisseminationReport& report) const {
+  const double data_p = downlink_p_[child];  // parent -> child
+  const double ack_p = uplink_p_[child];     // child -> parent
   for (std::size_t attempt = 0; attempt <= config_.max_retransmissions; ++attempt) {
     ++report.data_transmissions;
     report.radio_energy_j += radio_->tx_energy_j();
-    if (!links_->try_deliver(from, to, rng)) continue;
+    if (!rng.bernoulli(data_p)) continue;
     report.radio_energy_j += radio_->rx_energy_j();
     // Data arrived; the ack races back.
     ++report.ack_transmissions;
     report.radio_energy_j += radio_->tx_energy_j();
-    const bool ack_ok = !config_.lossy_acks || links_->try_deliver(to, from, rng);
+    const bool ack_ok = !config_.lossy_acks || rng.bernoulli(ack_p);
     if (ack_ok) {
       report.radio_energy_j += radio_->rx_energy_j();
       return true;
@@ -143,11 +147,11 @@ bool ScheduleDissemination::reliable_hop(std::size_t from, std::size_t to,
       ++report.data_transmissions;
       report.radio_energy_j += radio_->tx_energy_j();
       // Receiver re-acks every duplicate it hears.
-      if (!links_->try_deliver(from, to, rng)) continue;
+      if (!rng.bernoulli(data_p)) continue;
       report.radio_energy_j += radio_->rx_energy_j();
       ++report.ack_transmissions;
       report.radio_energy_j += radio_->tx_energy_j();
-      if (links_->try_deliver(to, from, rng)) {
+      if (rng.bernoulli(ack_p)) {
         report.radio_energy_j += radio_->rx_energy_j();
         return true;
       }
@@ -184,7 +188,7 @@ DisseminationReport ScheduleDissemination::disseminate(
     auto path = tree_->path_to_sink(v);
     bool ok = true;
     for (std::size_t i = path.size(); i-- > 1;) {
-      if (!reliable_hop(path[i], path[i - 1], rng, report)) {
+      if (!reliable_hop(path[i - 1], rng, report)) {
         ok = false;
         ++report.hop_failures;
         break;

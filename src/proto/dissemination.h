@@ -87,7 +87,8 @@ struct DeltaStats {
 
 class DeltaDisseminator {
  public:
-  // All referenced objects must outlive the disseminator.
+  // The tree and the radio model must outlive the disseminator; the link
+  // probabilities of the tree edges are read here, once.
   DeltaDisseminator(const net::Network& network, const net::RoutingTree& tree,
                     const LinkModel& links, const net::RadioEnergyModel& radio,
                     DeltaDisseminationConfig config = {});
@@ -113,7 +114,9 @@ class DeltaDisseminator {
                util::Rng& rng, DeltaSlotReport& report) const;
 
   const net::RoutingTree* tree_;
-  const LinkModel* links_;
+  // Updates travel tree edges only: p(v -> parent) and p(parent -> v).
+  std::vector<double> uplink_p_;
+  std::vector<double> downlink_p_;
   const net::RadioEnergyModel* radio_;
   DeltaDisseminationConfig config_;
   net::BackoffPolicy backoff_;
@@ -126,6 +129,8 @@ class DeltaDisseminator {
 
 class ScheduleDissemination {
  public:
+  // The network, the tree and the radio model must outlive the object; the
+  // link probabilities of the tree edges are read here, once.
   ScheduleDissemination(const net::Network& network, const net::RoutingTree& tree,
                         const LinkModel& links, const net::RadioEnergyModel& radio,
                         DisseminationConfig config = {});
@@ -141,14 +146,17 @@ class ScheduleDissemination {
       const core::PeriodicSchedule& schedule, const DisseminationReport& report);
 
  private:
-  // One reliable-hop attempt; returns true when data + (if configured) ack
-  // both eventually succeed within the retransmission budget.
-  bool reliable_hop(std::size_t from, std::size_t to, util::Rng& rng,
+  // One reliable-hop attempt over the tree edge parent(child) -> child;
+  // returns true when data + (if configured) ack both eventually succeed
+  // within the retransmission budget.
+  bool reliable_hop(std::size_t child, util::Rng& rng,
                     DisseminationReport& report) const;
 
   const net::Network* network_;
   const net::RoutingTree* tree_;
-  const LinkModel* links_;
+  // Assignments travel tree edges only: p(v -> parent) and p(parent -> v).
+  std::vector<double> uplink_p_;
+  std::vector<double> downlink_p_;
   const net::RadioEnergyModel* radio_;
   DisseminationConfig config_;
 };

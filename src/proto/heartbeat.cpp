@@ -10,7 +10,8 @@ HeartbeatDetector::HeartbeatDetector(const net::Network& network,
                                      const LinkModel& links,
                                      const net::RadioEnergyModel& radio,
                                      const HeartbeatConfig& config)
-    : tree_(&tree), links_(&links), radio_(&radio),
+    : tree_(&tree), uplink_p_(links.uplink_probabilities(tree)),
+      tx_j_(radio.tx_energy_j()), rx_j_(radio.rx_energy_j()),
       config_(config), verdict_(network.sensor_count(), NodeVerdict::kAlive),
       last_heard_(network.sensor_count(), 0),
       timeout_(network.sensor_count(),
@@ -30,25 +31,27 @@ bool HeartbeatDetector::deliver_heartbeat(std::size_t node,
                                           const std::vector<std::uint8_t>& up,
                                           util::Rng& rng,
                                           HeartbeatSlotReport& report) {
-  if (node == tree_->sink()) return true;  // zero-hop: gateway hears itself
-  const auto path = tree_->path_to_sink(node);
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const std::size_t from = path[i];
-    const std::size_t to = path[i + 1];
+  // Walk the parent chain node -> ... -> sink; the sink's own heartbeat
+  // takes zero hops (the gateway hears itself).
+  const std::size_t sink = tree_->sink();
+  std::size_t from = node;
+  while (from != sink) {
+    const std::size_t to = tree_->parent(from);
     // A down relay cannot receive; the sink's mains-powered radio always can.
-    const bool receiver_up = to == tree_->sink() || up[to] != 0;
+    const bool receiver_up = to == sink || up[to] != 0;
     bool hop_ok = false;
     for (std::size_t attempt = 0; attempt <= config_.max_retransmissions;
          ++attempt) {
       ++report.transmissions;
-      report.radio_energy_j += radio_->tx_energy_j();
-      if (receiver_up && links_->try_deliver(from, to, rng)) {
-        report.radio_energy_j += radio_->rx_energy_j();
+      report.radio_energy_j += tx_j_;
+      if (receiver_up && rng.bernoulli(uplink_p_[from])) {
+        report.radio_energy_j += rx_j_;
         hop_ok = true;
         break;
       }
     }
     if (!hop_ok) return false;
+    from = to;
   }
   return true;
 }

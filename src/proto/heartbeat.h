@@ -60,7 +60,8 @@ struct HeartbeatStats {
 
 class HeartbeatDetector {
  public:
-  // All referenced objects must outlive the detector.
+  // The tree must outlive the detector; link probabilities and radio costs
+  // are read here, once.
   HeartbeatDetector(const net::Network& network, const net::RoutingTree& tree,
                     const LinkModel& links, const net::RadioEnergyModel& radio,
                     const HeartbeatConfig& config = {});
@@ -84,8 +85,11 @@ class HeartbeatDetector {
                          util::Rng& rng, HeartbeatSlotReport& report);
 
   const net::RoutingTree* tree_;
-  const LinkModel* links_;
-  const net::RadioEnergyModel* radio_;
+  // Heartbeats only travel tree edges toward the sink: their delivery
+  // probabilities and the radio's per-packet costs, read once.
+  std::vector<double> uplink_p_;
+  double tx_j_ = 0.0;
+  double rx_j_ = 0.0;
   HeartbeatConfig config_;
   std::vector<NodeVerdict> verdict_;
   std::vector<std::size_t> last_heard_;   // slot of last delivered heartbeat

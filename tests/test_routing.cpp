@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "util/rng.h"
+
 namespace cool::net {
 namespace {
 
@@ -91,6 +96,89 @@ TEST(ChooseBestSink, PrefersCenterOfChain) {
   const auto net = chain_network();
   // Node 2 reaches all 5 chain nodes with minimum total depth.
   EXPECT_EQ(choose_best_sink(net), 2u);
+}
+
+// choose_best_sink as it was before the multi-source BFS: one RoutingTree
+// per candidate, kept as the differential reference.
+std::size_t reference_best_sink(const Network& network) {
+  const std::size_t n = network.sensor_count();
+  std::size_t best = 0;
+  std::size_t best_reach = 0;
+  std::size_t best_total_depth = 0;
+  for (std::size_t s = 0; s < n; ++s) {
+    const RoutingTree tree(network, s);
+    std::size_t total_depth = 0;
+    for (std::size_t v = 0; v < n; ++v)
+      if (tree.reachable(v)) total_depth += tree.depth(v);
+    if (tree.reachable_count() > best_reach ||
+        (tree.reachable_count() == best_reach && total_depth < best_total_depth)) {
+      best = s;
+      best_reach = tree.reachable_count();
+      best_total_depth = total_depth;
+    }
+  }
+  return best;
+}
+
+Network line_of(std::size_t n, double spacing, double comm) {
+  std::vector<Sensor> sensors;
+  for (std::size_t i = 0; i < n; ++i)
+    sensors.push_back({0, {static_cast<double>(i) * spacing, 0.0}, 1.0, comm});
+  return Network(std::move(sensors), {}, geom::Rect({0, 0}, {1000, 10}));
+}
+
+TEST(ChooseBestSink, MatchesPerCandidateTrees) {
+  // Random fields from one sensor to past four 64-candidate passes, sparse
+  // to dense: many are disconnected, many have isolated nodes, and some
+  // have heterogeneous comm radii (including zero).
+  util::Rng rng(2011);
+  std::size_t disconnected = 0;
+  for (int trial = 0; trial < 240; ++trial) {
+    const std::size_t n =
+        trial < 8 ? std::size_t{63} + static_cast<std::size_t>(trial % 4)
+                  : static_cast<std::size_t>(rng.uniform_int(1, 301));
+    const double radius = rng.uniform(5.0, 65.0);
+    const bool mixed = trial % 3 == 0;
+    std::vector<Sensor> sensors;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double comm =
+          mixed ? (i % 11 == 0 ? 0.0 : rng.uniform(0.5, 1.5) * radius) : radius;
+      sensors.push_back(
+          {0, {rng.uniform(0.0, 140.0), rng.uniform(0.0, 140.0)}, 10.0, comm});
+    }
+    const Network net(std::move(sensors), {}, geom::Rect::square(140.0));
+    const std::size_t want = reference_best_sink(net);
+    ASSERT_EQ(choose_best_sink(net), want)
+        << "trial " << trial << ", n " << n << ", radius " << radius;
+    if (RoutingTree(net, want).reachable_count() < n) ++disconnected;
+  }
+  EXPECT_GT(disconnected, 40u);
+}
+
+TEST(ChooseBestSink, TiesGoToTheSmallestId) {
+  // No links at all: every candidate reaches only itself.
+  const auto isolated = line_of(70, 10.0, 1.0);
+  EXPECT_EQ(choose_best_sink(isolated), 0u);
+  // A chain of 4: nodes 1 and 2 tie on reach and total depth.
+  const auto four = line_of(4, 10.0, 11.0);
+  EXPECT_EQ(choose_best_sink(four), 1u);
+  EXPECT_EQ(reference_best_sink(four), 1u);
+  // A chain of 131 crosses three passes; its centre is node 65.
+  const auto long_chain = line_of(131, 10.0, 11.0);
+  EXPECT_EQ(choose_best_sink(long_chain), 65u);
+  EXPECT_EQ(reference_best_sink(long_chain), 65u);
+  // Two equal components: the first wins the tie.
+  std::vector<Sensor> sensors;
+  for (const double x : {0.0, 10.0, 20.0, 500.0, 510.0, 520.0})
+    sensors.push_back({0, {x, 0.0}, 1.0, 11.0});
+  const Network twins(std::move(sensors), {}, geom::Rect({0, 0}, {1000, 10}));
+  EXPECT_EQ(choose_best_sink(twins), 1u);
+  EXPECT_EQ(reference_best_sink(twins), 1u);
+}
+
+TEST(ChooseBestSink, EmptyNetworkThrows) {
+  const Network empty({}, {}, geom::Rect::square(10.0));
+  EXPECT_THROW(choose_best_sink(empty), std::invalid_argument);
 }
 
 }  // namespace
