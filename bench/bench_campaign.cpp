@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
     const char* name;
     cool::sim::CampaignConfig config;
   };
-  cool::proto::LinkModelConfig lossy;
+  cool::net::LinkModelConfig lossy;
   lossy.global_loss = 0.2;
 
   std::vector<Scenario> scenarios;

@@ -28,12 +28,12 @@
 
 #include "core/greedy.h"
 #include "core/problem.h"
+#include "net/link.h"
 #include "net/network.h"
 #include "net/routing.h"
 #include "obs/analyze/bench_json.h"
 #include "obs/metrics.h"
 #include "obs/session.h"
-#include "proto/link.h"
 #include "sim/runtime.h"
 #include "sim/simulator.h"
 #include "util/cli.h"
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   const std::size_t slots = days * problem.horizon_slots();
 
   const cool::net::RoutingTree tree(network, cool::net::choose_best_sink(network));
-  const cool::proto::LinkModel links(network);
+  const cool::net::LinkModel links(network);
   const cool::net::RadioEnergyModel radio;
 
   std::ofstream csv_file;

@@ -83,9 +83,9 @@ int main(int argc, char** argv) try {
               "%.4f/slot\n", periods, ideal.per_slot_average);
 
   // --- 4. dissemination ---
-  cool::proto::LinkModelConfig link_config;
+  cool::net::LinkModelConfig link_config;
   link_config.global_loss = 0.15;
-  const cool::proto::LinkModel links(network, link_config);
+  const cool::net::LinkModel links(network, link_config);
   const cool::net::RadioEnergyModel radio;
   const cool::proto::ScheduleDissemination dissemination(network, tree, links,
                                                          radio);

@@ -37,13 +37,14 @@ if [ "${mode}" = "tsan" ]; then
   # LogConcurrency hammer the registry and the logger from many threads.
   # Prof covers the sampling-profiler suites: the SIGPROF handler publishes
   # into the seqlock sample ring while collect() snapshots it, and the span
-  # stack is pushed/popped from worker threads. Arena/MarginalKernel cover
-  # the arena-backed planner scratch and the SIMD/scalar kernel
-  # differential suites. Repair covers the move-scorer differential suite
-  # the svc worker reaches on every repair; Network covers the lazily
+  # stack is pushed/popped from worker threads. Arena covers the
+  # arena-backed planner scratch, and DetectionReference the differential
+  # suite of the detection oracle's CSR state against its reference
+  # (sub::reference_detection). Repair covers the move-scorer differential
+  # suite the svc worker reaches on every repair; Network covers the lazily
   # built neighbour lists, whose first use may race across campaign days,
   # and Link the link model's lazily built edge table, shared the same way.
-  default_filter='Parallel|BatchEval|Greedy|LazyGreedy|StochasticGreedy|PassiveGreedy|Evaluator|LpScheduler|Campaign|Backoff|LossyCollection|DeliveredCoverage|Svc|StateReuse|Flight|Introspect|MetricsRegistryThreads|LogConcurrency|Prof|Arena|MarginalKernel|FusedScan|Repair|Network|Link'
+  default_filter='Parallel|BatchEval|Greedy|LazyGreedy|StochasticGreedy|PassiveGreedy|Evaluator|LpScheduler|Campaign|Backoff|LossyCollection|DeliveredCoverage|Svc|StateReuse|Flight|Introspect|MetricsRegistryThreads|LogConcurrency|Prof|Arena|DetectionReference|FusedScan|Repair|Network|Link'
   for threads in 2 4; do
     echo "== TSan pass: COOL_THREADS=${threads} =="
     COOL_THREADS="${threads}" ctest --output-on-failure -j "$(nproc)" \

@@ -6,8 +6,9 @@
 // packet reception curves, reduced to a two-parameter model.
 //
 // Lives in net (next to the radio energy model and the routing tree) so the
-// collection data plane can sample links without a layering cycle; the
-// protocol layer re-exports it as proto::LinkModel for existing callers.
+// collection data plane can sample links without a layering cycle.
+// proto/link.h keeps the older proto::LinkModel name as an alias for the
+// benchmark client (perfbench/gateway_month.cpp), its last user.
 #pragma once
 
 #include <atomic>

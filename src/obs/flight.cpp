@@ -162,9 +162,18 @@ void FlightRecorder::record(FlightKind kind, std::string_view name,
                             int level) noexcept {
   const std::uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed) + 1;
   Slot& slot = slots_[seq & mask_];
-  // Invalidate first so a reader that catches the slot mid-write sees
-  // stamp==0 (or a seq that no longer matches the body) and skips it.
-  slot.stamp.store(0, std::memory_order_release);
+  // Claim the slot by swapping its stamp for kBusy, so it has one writer at
+  // a time. kBusy (another writer owns it) and a newer seq (a writer that
+  // lapped this one already published) both compare greater than `seq`:
+  // this event is dropped then, never waited for.
+  std::uint64_t stamp = slot.stamp.load(std::memory_order_relaxed);
+  do {
+    if (stamp > seq) return;
+  } while (!slot.stamp.compare_exchange_weak(
+      stamp, kBusy, std::memory_order_acquire, std::memory_order_relaxed));
+  // Order the invalidation before the body stores: a reader that sees any
+  // of them re-reads a stamp other than the one it started from.
+  std::atomic_thread_fence(std::memory_order_release);
   slot.ts_us.store(static_cast<std::uint64_t>(trace_now_us()),
                    std::memory_order_relaxed);
   slot.trace.store(trace, std::memory_order_relaxed);
@@ -184,7 +193,7 @@ void FlightRecorder::set_header(std::string header_line) {
 
 bool FlightRecorder::read_slot(const Slot& slot, FlightEvent& out) const noexcept {
   const std::uint64_t before = slot.stamp.load(std::memory_order_acquire);
-  if (before == 0) return false;
+  if (before == 0 || before == kBusy) return false;
   out.seq = before;
   out.ts_us = slot.ts_us.load(std::memory_order_relaxed);
   out.trace = slot.trace.load(std::memory_order_relaxed);

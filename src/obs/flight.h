@@ -4,8 +4,11 @@
 // SIGSEGV/SIGABRT handler via an async-signal-safe writer.
 //
 // Design constraints:
-//   * record() is lock-free and allocation-free: one relaxed fetch_add to
-//     claim a slot, then relaxed atomic stores into preallocated fields.
+//   * record() is lock-free and allocation-free: one relaxed fetch_add for
+//     the event's seq, one CAS on the slot's stamp that makes the writer
+//     the slot's only owner, then relaxed atomic stores into preallocated
+//     fields. A writer that finds its slot owned by another writer, or
+//     already holding a newer event, drops its event rather than wait.
 //     Strings are clamped into fixed char arrays and sanitized to a JSON-
 //     and shell-safe alphabet at record time, so the dump path never needs
 //     to escape anything.
@@ -76,6 +79,7 @@ class FlightRecorder {
               std::uint64_t value = 0, int level = -1) noexcept;
 
   std::size_t capacity() const noexcept { return mask_ + 1; }
+  // record() calls so far, including events dropped on a contended slot.
   std::uint64_t recorded() const noexcept {
     return next_.load(std::memory_order_relaxed);
   }
@@ -96,7 +100,9 @@ class FlightRecorder {
 
  private:
   // All fields atomic so concurrent record/read is data-race-free; `stamp`
-  // is the seqlock: 0 while a writer owns the slot, else the event's seq.
+  // is the seqlock: 0 while the slot is empty, kBusy while a writer owns
+  // it, else the seq of the event it holds. Published seqs only grow.
+  static constexpr std::uint64_t kBusy = ~std::uint64_t{0};
   struct Slot {
     std::atomic<std::uint64_t> stamp{0};
     std::atomic<std::uint64_t> ts_us{0};

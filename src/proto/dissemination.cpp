@@ -10,7 +10,7 @@ namespace cool::proto {
 
 DeltaDisseminator::DeltaDisseminator(const net::Network& network,
                                      const net::RoutingTree& tree,
-                                     const LinkModel& links,
+                                     const net::LinkModel& links,
                                      const net::RadioEnergyModel& radio,
                                      DeltaDisseminationConfig config)
     : tree_(&tree), uplink_p_(links.uplink_probabilities(tree)),
@@ -114,7 +114,7 @@ DeltaSlotReport DeltaDisseminator::step(std::size_t slot,
 
 ScheduleDissemination::ScheduleDissemination(const net::Network& network,
                                              const net::RoutingTree& tree,
-                                             const LinkModel& links,
+                                             const net::LinkModel& links,
                                              const net::RadioEnergyModel& radio,
                                              DisseminationConfig config)
     : network_(&network), tree_(&tree),

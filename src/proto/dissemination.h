@@ -13,10 +13,10 @@
 
 #include "core/schedule.h"
 #include "net/backoff.h"
+#include "net/link.h"
 #include "net/network.h"
 #include "net/radio.h"
 #include "net/routing.h"
-#include "proto/link.h"
 #include "util/rng.h"
 
 namespace cool::proto {
@@ -90,7 +90,8 @@ class DeltaDisseminator {
   // The tree and the radio model must outlive the disseminator; the link
   // probabilities of the tree edges are read here, once.
   DeltaDisseminator(const net::Network& network, const net::RoutingTree& tree,
-                    const LinkModel& links, const net::RadioEnergyModel& radio,
+                    const net::LinkModel& links,
+                    const net::RadioEnergyModel& radio,
                     DeltaDisseminationConfig config = {});
 
   // Queues (or re-arms, if already pending) an assignment update for `node`,
@@ -132,7 +133,8 @@ class ScheduleDissemination {
   // The network, the tree and the radio model must outlive the object; the
   // link probabilities of the tree edges are read here, once.
   ScheduleDissemination(const net::Network& network, const net::RoutingTree& tree,
-                        const LinkModel& links, const net::RadioEnergyModel& radio,
+                        const net::LinkModel& links,
+                    const net::RadioEnergyModel& radio,
                         DisseminationConfig config = {});
 
   // Pushes each targeted node's assignment from the sink along the tree

@@ -7,7 +7,7 @@ namespace cool::proto {
 
 HeartbeatDetector::HeartbeatDetector(const net::Network& network,
                                      const net::RoutingTree& tree,
-                                     const LinkModel& links,
+                                     const net::LinkModel& links,
                                      const net::RadioEnergyModel& radio,
                                      const HeartbeatConfig& config)
     : tree_(&tree), uplink_p_(links.uplink_probabilities(tree)),

@@ -2,7 +2,7 @@
 //
 // Every up node originates one heartbeat per reporting period and forwards
 // its children's heartbeats along the collection tree; each hop is a lossy
-// transmission (LinkModel) with a small best-effort retransmission budget
+// transmission (net::LinkModel) with a small best-effort retransmission budget
 // and no acks — heartbeats are cheap, losing one is fine. The gateway runs
 // a timeout detector per node: silence longer than the node's timeout moves
 // it to *suspect*; continued silence for `suspect_windows` more timeout
@@ -22,10 +22,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "net/link.h"
 #include "net/network.h"
 #include "net/radio.h"
 #include "net/routing.h"
-#include "proto/link.h"
 #include "util/rng.h"
 
 namespace cool::proto {
@@ -63,7 +63,8 @@ class HeartbeatDetector {
   // The tree must outlive the detector; link probabilities and radio costs
   // are read here, once.
   HeartbeatDetector(const net::Network& network, const net::RoutingTree& tree,
-                    const LinkModel& links, const net::RadioEnergyModel& radio,
+                    const net::LinkModel& links,
+                    const net::RadioEnergyModel& radio,
                     const HeartbeatConfig& config = {});
 
   // One slot of the protocol: origination + forwarding by nodes marked up,

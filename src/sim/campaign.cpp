@@ -66,7 +66,7 @@ CampaignReport CampaignRunner::run() const {
 
   // Dissemination fixtures (built once; links are static).
   std::optional<net::RoutingTree> tree;
-  std::optional<proto::LinkModel> links;
+  std::optional<net::LinkModel> links;
   const net::RadioEnergyModel radio;
   if (config_.dissemination) {
     tree.emplace(*network_, net::choose_best_sink(*network_));

@@ -6,9 +6,9 @@ namespace cool::sub {
 
 namespace {
 
-// Identical mechanics to WeightedCoverage, but items are arrangement faces
-// and weights are w_i · |A_i|; kept separate so face bookkeeping stays next
-// to the geometric definition.
+// Weighted Boolean coverage whose items are arrangement faces, each worth
+// w_i · |A_i|: an element's gain is the value of the faces it would newly
+// cover.
 class AreaState final : public EvalState {
  public:
   AreaState(const std::vector<std::vector<std::size_t>>* faces_of,

@@ -5,8 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "submodular/kernel.h"
-
 namespace cool::sub {
 
 namespace {
@@ -48,6 +46,8 @@ class SingleState final : public EvalState {
   double miss_ = 1.0;  // Π (1 − p_j) over the current set
 };
 
+// The differential reference: the original per-sensor vector-of-pairs
+// walk, reached only through reference_detection().
 class MultiState final : public EvalState {
  public:
   MultiState(const std::vector<MultiTargetDetectionUtility::Target>* targets,
@@ -111,8 +111,8 @@ class MultiState final : public EvalState {
   std::vector<std::uint8_t> in_set_;
 };
 
-// Cache-linear fast kernel over the flattened CSR. Identical arithmetic to
-// MultiState, term for term:
+// The production state: a cache-linear walk over the flattened CSR.
+// Identical arithmetic to MultiState, term for term:
 //
 //   reference:  gain += (weight_t * miss_t) * p     (left-associated)
 //   fast path:  gain += weighted_miss_[t]   * p     where weighted_miss_[t]
@@ -553,6 +553,40 @@ void validate_probability(double p) {
     throw std::invalid_argument("detection probability outside [0, 1]");
 }
 
+double max_detection_value(
+    const std::vector<MultiTargetDetectionUtility::Target>& targets) {
+  double total = 0.0;
+  for (const auto& target : targets) {
+    double miss = 1.0;
+    for (const auto& [_, p] : target.detectors) miss *= 1.0 - p;
+    total += target.weight * (1.0 - miss);
+  }
+  return total;
+}
+
+// reference_detection(): MultiState over its own per-sensor pair lists,
+// with the default (rebuild) move scorer and no fused path.
+class ReferenceDetection final : public SubmodularFunction {
+ public:
+  explicit ReferenceDetection(const MultiTargetDetectionUtility& utility)
+      : targets_(utility.targets()), by_sensor_(utility.ground_size()) {
+    for (std::size_t i = 0; i < targets_.size(); ++i)
+      for (const auto& [sensor, p] : targets_[i].detectors)
+        by_sensor_[sensor].emplace_back(i, p);
+  }
+
+  std::size_t ground_size() const override { return by_sensor_.size(); }
+  std::unique_ptr<EvalState> make_state() const override {
+    return std::make_unique<MultiState>(&targets_, &by_sensor_);
+  }
+  double max_value() const override { return max_detection_value(targets_); }
+
+ private:
+  std::vector<MultiTargetDetectionUtility::Target> targets_;
+  // sensor -> list of (target index, probability) it participates in.
+  std::vector<std::vector<std::pair<std::size_t, double>>> by_sensor_;
+};
+
 }  // namespace
 
 FusedSlotEvaluator resolve_fused(
@@ -603,13 +637,11 @@ MultiTargetDetectionUtility::MultiTargetDetectionUtility(std::size_t sensor_coun
                                                          std::vector<Target> targets)
     : sensor_count_(sensor_count),
       targets_(std::move(targets)),
-      by_sensor_(sensor_count) {
+      csr_offsets_(sensor_count + 1, 0) {
   if (targets_.size() > std::numeric_limits<std::uint32_t>::max())
     throw std::invalid_argument("MultiTargetDetectionUtility: too many targets");
-  std::size_t pair_count = 0;
   target_weights_.reserve(targets_.size());
-  for (std::size_t i = 0; i < targets_.size(); ++i) {
-    const auto& target = targets_[i];
+  for (const auto& target : targets_) {
     if (target.weight <= 0.0)
       throw std::invalid_argument("MultiTargetDetectionUtility: weight <= 0");
     target_weights_.push_back(target.weight);
@@ -617,22 +649,23 @@ MultiTargetDetectionUtility::MultiTargetDetectionUtility(std::size_t sensor_coun
       if (sensor >= sensor_count_)
         throw std::out_of_range("MultiTargetDetectionUtility: sensor index");
       validate_probability(p);
-      by_sensor_[sensor].emplace_back(i, p);
-      ++pair_count;
+      ++csr_offsets_[sensor + 1];
     }
   }
-  // Flatten by_sensor_ to CSR struct-of-arrays, preserving per-sensor list
-  // order so the fast kernel sums in the reference's order.
-  csr_offsets_.reserve(sensor_count_ + 1);
-  csr_targets_.reserve(pair_count);
-  csr_probs_.reserve(pair_count);
-  csr_offsets_.push_back(0);
-  for (const auto& list : by_sensor_) {
-    for (const auto& [target, p] : list) {
-      csr_targets_.push_back(static_cast<std::uint32_t>(target));
-      csr_probs_.push_back(p);
+  // Counting sort by sensor: visiting targets in order fills each row in
+  // target order, then detector-list order -- the reference's per-sensor
+  // list order.
+  for (std::size_t v = 0; v < sensor_count_; ++v)
+    csr_offsets_[v + 1] += csr_offsets_[v];
+  csr_targets_.resize(csr_offsets_.back());
+  csr_probs_.resize(csr_offsets_.back());
+  std::vector<std::size_t> fill(csr_offsets_.begin(), csr_offsets_.end() - 1);
+  for (std::size_t i = 0; i < targets_.size(); ++i) {
+    for (const auto& [sensor, p] : targets_[i].detectors) {
+      const std::size_t k = fill[sensor]++;
+      csr_targets_[k] = static_cast<std::uint32_t>(i);
+      csr_probs_[k] = p;
     }
-    csr_offsets_.push_back(csr_targets_.size());
   }
 }
 
@@ -651,10 +684,6 @@ MultiTargetDetectionUtility MultiTargetDetectionUtility::uniform(
 }
 
 std::unique_ptr<EvalState> MultiTargetDetectionUtility::make_state() const {
-  // Layout change only — the fast state's arithmetic is bit-identical for
-  // every kernel setting, so only an explicit kScalar forces the reference.
-  if (marginal_kernel() == MarginalKernel::kScalar)
-    return std::make_unique<MultiState>(&targets_, &by_sensor_);
   return std::make_unique<FastMultiState>(&csr_offsets_, &csr_targets_,
                                           &csr_probs_, &target_weights_);
 }
@@ -666,13 +695,12 @@ std::unique_ptr<MoveScorer> MultiTargetDetectionUtility::make_move_scorer(
 }
 
 double MultiTargetDetectionUtility::max_value() const {
-  double total = 0.0;
-  for (const auto& target : targets_) {
-    double miss = 1.0;
-    for (const auto& [_, p] : target.detectors) miss *= 1.0 - p;
-    total += target.weight * (1.0 - miss);
-  }
-  return total;
+  return max_detection_value(targets_);
+}
+
+std::unique_ptr<SubmodularFunction> reference_detection(
+    const MultiTargetDetectionUtility& utility) {
+  return std::make_unique<ReferenceDetection>(utility);
 }
 
 }  // namespace cool::sub

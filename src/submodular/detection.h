@@ -35,19 +35,14 @@ class DetectionUtility final : public SubmodularFunction {
 // Per-target coverage lists make marginal queries O(#targets covered by the
 // sensor) instead of O(m).
 //
-// Two evaluator kernels back make_state() (DESIGN.md section 15):
-//
-//   * the scalar reference — the original per-sensor vector-of-pairs walk,
-//     kept verbatim as the differential-testing ground truth;
-//   * a cache-linear fast path — the same arithmetic over a flattened CSR
-//     (one offsets array, one contiguous target-index stream, one
-//     contiguous probability stream) plus a precomputed
-//     weighted_miss[t] = weight_t · miss_t gather array. The reference
-//     evaluates (weight · miss) · p left-associated; the fast path stores
-//     that exact first product and multiplies by p in the same list order,
-//     so every gain is bit-for-bit identical. The restructure removes the
-//     vector-of-vectors pointer chase and the strided Target-struct weight
-//     gather that PR 9's profile put at 55% of oracle self-time.
+// make_state() walks a flattened CSR (DESIGN.md section 15): one offsets
+// array, one contiguous target-index stream and one contiguous probability
+// stream, plus a maintained weighted_miss[t] = weight_t · miss_t gather
+// array. reference_detection() below keeps the original per-sensor
+// vector-of-pairs walk, which evaluates (weight · miss) · p
+// left-associated; the CSR state stores that exact first product and
+// multiplies by p in the same list order, so every gain is bit-for-bit
+// identical to the reference.
 class MultiTargetDetectionUtility final : public SubmodularFunction {
  public:
   struct Target {
@@ -71,7 +66,7 @@ class MultiTargetDetectionUtility final : public SubmodularFunction {
   double max_value() const override;
   // Move-local refresh (DESIGN.md, "Incremental schedule repair"): a
   // marginal reads only its own row's targets, so a move refreshes just the
-  // sensors sharing a target with the mover, for every kernel setting.
+  // sensors sharing a target with the mover.
   std::unique_ptr<MoveScorer> make_move_scorer(
       const SlotPartition& partition) const override;
 
@@ -80,13 +75,11 @@ class MultiTargetDetectionUtility final : public SubmodularFunction {
  private:
   std::size_t sensor_count_;
   std::vector<Target> targets_;
-  // sensor -> list of (target index, probability) it participates in.
-  // Retained as the scalar reference's layout.
-  std::vector<std::vector<std::pair<std::size_t, double>>> by_sensor_;
-  // The same relation flattened to CSR struct-of-arrays for the fast
-  // kernel: csr_targets_/csr_probs_[csr_offsets_[e] .. csr_offsets_[e+1])
-  // list sensor e's (target, p) pairs in exactly by_sensor_[e]'s order, so
-  // the in-order gain summation matches the reference term for term.
+  // The (sensor, target, p) relation as CSR struct-of-arrays:
+  // csr_targets_/csr_probs_[csr_offsets_[e] .. csr_offsets_[e+1]) list
+  // sensor e's (target, p) pairs in target order, then detector-list order
+  // -- the reference's per-sensor list order, so the in-order gain
+  // summation matches it term for term.
   std::vector<std::size_t> csr_offsets_;
   std::vector<std::uint32_t> csr_targets_;
   std::vector<double> csr_probs_;
@@ -94,5 +87,13 @@ class MultiTargetDetectionUtility final : public SubmodularFunction {
   // weighted-miss recompute on add().
   std::vector<double> target_weights_;
 };
+
+// The differential reference for `utility`: a utility over a copy of its
+// targets whose make_state() is the original per-sensor vector-of-pairs
+// walk and whose move scorer is the default rebuild loop. Tests compare
+// every result of the CSR state and the move-local scorer with it, bit for
+// bit; no production path constructs it.
+std::unique_ptr<SubmodularFunction> reference_detection(
+    const MultiTargetDetectionUtility& utility);
 
 }  // namespace cool::sub

@@ -73,8 +73,8 @@ class EvalState {
 //
 // resolve_fused() performs the type/aliasing checks (dynamic_cast per
 // state) ONCE per schedule() call; the returned fn then dispatches with
-// unchecked static casts. fn == nullptr means "no fused path" (mixed or
-// reference states, kScalar forced) and callers fall back to per-slot
+// unchecked static casts. fn == nullptr means "no fused path" (mixed,
+// masked or reference states) and callers fall back to per-slot
 // marginal_batch. Defined in detection.cpp (the detection oracle is the
 // only fused backend today).
 struct FusedSlotEvaluator {

@@ -10,12 +10,9 @@
 
 #include "geometry/deployment.h"
 #include "submodular/area.h"
-#include "submodular/combinators.h"
 #include "submodular/concave.h"
-#include "submodular/coverage.h"
 #include "submodular/detection.h"
 #include "submodular/function.h"
-#include "submodular/kcoverage.h"
 
 namespace cool::sub {
 namespace {
@@ -73,34 +70,10 @@ TEST(BatchEval, MultiTargetDetectionUtility) {
       MultiTargetDetectionUtility::uniform(6, sample_covers(), 0.4));
 }
 
-TEST(BatchEval, WeightedCoverage) {
-  expect_oracle_contracts(
-      WeightedCoverage(6, sample_covers(), {1.0, 2.5, 0.5, 3.0}));
-}
-
-TEST(BatchEval, Modular) {
-  expect_oracle_contracts(Modular({0.5, 1.5, 2.0, 0.25, 3.0, 1.0}));
-}
-
-TEST(BatchEval, KCoverageUtility) {
-  expect_oracle_contracts(KCoverageUtility::uniform(6, sample_covers(), 2));
-}
-
 TEST(BatchEval, ConcaveOfModular) {
   expect_oracle_contracts(ConcaveOfModular(
       {1.0, 2.0, 0.5, 1.5, 3.0, 0.25},
       [](double x) { return std::log1p(x); }));
-}
-
-TEST(BatchEval, WeightedSumAndRestriction) {
-  auto detection = std::make_shared<DetectionUtility>(
-      std::vector<double>{0.1, 0.4, 0.35, 0.9, 0.0, 0.6});
-  auto modular = std::make_shared<Modular>(
-      std::vector<double>{0.5, 1.5, 2.0, 0.25, 3.0, 1.0});
-  expect_oracle_contracts(
-      WeightedSum({{detection, 1.0}, {modular, 0.25}}));
-  expect_oracle_contracts(
-      Restriction(detection, std::vector<std::size_t>{0, 2, 4}));
 }
 
 TEST(BatchEval, AreaUtility) {

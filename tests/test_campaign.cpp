@@ -80,7 +80,7 @@ TEST(Campaign, DisseminationLossReflectedInReport) {
   Fixture f;
   CampaignConfig config;
   config.days = 3;
-  proto::LinkModelConfig lossy;
+  net::LinkModelConfig lossy;
   lossy.global_loss = 0.3;
   config.dissemination = lossy;
   CampaignRunner runner(f.network, f.utility, config, util::Rng(5));

@@ -1,20 +1,22 @@
 // Differential suite for the exact greedy family (paper Algorithm 1). The
 // plain scan (GreedyScheduler) and the lazy greedy (LazyGreedyScheduler)
 // must produce byte-identical results — same placement order, same
-// step-gain bits, same schedule — with the fused slot-row kernel on (kAuto)
-// or forced off (kScalar), at every thread count. Oracle accounting is per
-// scheduler, so each scheduler's count must match across kernels and thread
-// counts, and the lazy greedy may never issue more calls than the scan.
+// step-gain bits, same schedule — on the production detection utility
+// (fused slot-row kernel) and on sub::reference_detection() of it (the
+// unfused vector-of-pairs reference), at every thread count. Oracle
+// accounting is per scheduler, so each scheduler's count must match across
+// utilities and thread counts, and the lazy greedy may never issue more
+// calls than the scan.
 //
 // Instances are seeded networks chosen to stress the tie-break contract
 // (ascending sensor id, then slot): exact ties, exact saturation (late
 // placements all gain 0), the benchmark's own shapes, a slot count above
-// FusedSlotEvaluator::kMaxSlots (unfused even at kAuto), dead sensors masked
-// to zero gain (recompute_schedule's shape), unit-weight max cover, and an
-// all-overlap network where every placement makes most heap entries stale.
+// FusedSlotEvaluator::kMaxSlots (unfused on either utility), dead sensors
+// masked to zero gain (recompute_schedule's shape), unit-cell area
+// coverage, and an all-overlap network where every placement makes most
+// heap entries stale.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -25,9 +27,10 @@
 #include "core/lazy_greedy.h"
 #include "core/problem.h"
 #include "core/repair.h"
-#include "submodular/coverage.h"
+#include "geometry/arrangement.h"
+#include "submodular/area.h"
+#include "submodular/detection.h"
 #include "submodular/function.h"
-#include "submodular/kernel.h"
 #include "svc/protocol.h"
 #include "svc/session.h"
 #include "util/parallel.h"
@@ -38,13 +41,7 @@ namespace {
 
 class ExactGreedyDifferential : public ::testing::Test {
  protected:
-  void TearDown() override {
-    sub::set_marginal_kernel(saved_kernel_);
-    util::set_thread_count(0);
-  }
-
- private:
-  sub::MarginalKernel saved_kernel_ = sub::marginal_kernel();
+  void TearDown() override { util::set_thread_count(0); }
 };
 
 svc::NetworkSpec spec(std::size_t sensors, std::size_t targets,
@@ -72,17 +69,31 @@ void expect_identical(const GreedyResult& reference, const GreedyResult& run,
 }
 
 struct Differential {
-  GreedyResult reference;  // the one-thread fused plain scan
+  GreedyResult reference;  // the one-thread plain scan on `problem`
   std::size_t greedy_calls = 0;
   std::size_t lazy_calls = 0;
 };
 
-// Every exact-greedy variant on one instance must reproduce the one-thread
-// fused plain scan, which is returned with each scheduler's oracle count
-// for instance-shape checks.
+// `problem` with its slot utility replaced by `utility`.
+Problem with_utility(const Problem& problem,
+                     std::shared_ptr<const sub::SubmodularFunction> utility) {
+  return Problem(std::move(utility), problem.slots_per_period(),
+                 problem.periods(), problem.rho_greater_than_one());
+}
+
+std::shared_ptr<const sub::SubmodularFunction> reference_of(
+    const std::shared_ptr<const sub::SubmodularFunction>& detection) {
+  return sub::reference_detection(
+      dynamic_cast<const sub::MultiTargetDetectionUtility&>(*detection));
+}
+
+// Every exact-greedy variant on `problem` and, when given, on
+// `reference_problem` (the same instance over the reference utility) must
+// reproduce the one-thread plain scan on `problem`, which is returned with
+// each scheduler's oracle count for instance-shape checks.
 Differential expect_all_variants_identical(const Problem& problem,
+                                           const Problem* reference_problem,
                                            const std::string& label) {
-  sub::set_marginal_kernel(sub::MarginalKernel::kAuto);
   util::set_thread_count(1);
   Differential out{GreedyScheduler().schedule(problem)};
   const GreedyResult& reference = out.reference;
@@ -90,17 +101,16 @@ Differential expect_all_variants_identical(const Problem& problem,
   for (const bool lazy : {false, true}) {
     std::size_t& oracle_calls = lazy ? out.lazy_calls : out.greedy_calls;
     bool first = true;
-    for (const auto kernel :
-         {sub::MarginalKernel::kAuto, sub::MarginalKernel::kScalar}) {
-      sub::set_marginal_kernel(kernel);
+    for (const Problem* instance : {&problem, reference_problem}) {
+      if (instance == nullptr) continue;
       for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
         util::set_thread_count(threads);
         const GreedyResult run = lazy
-                                     ? LazyGreedyScheduler().schedule(problem)
-                                     : GreedyScheduler().schedule(problem);
+                                     ? LazyGreedyScheduler().schedule(*instance)
+                                     : GreedyScheduler().schedule(*instance);
         const std::string what =
             label + (lazy ? " lazy" : " greedy") +
-            (kernel == sub::MarginalKernel::kAuto ? " kAuto" : " kScalar") +
+            (instance == &problem ? " production" : " reference") +
             " threads=" + std::to_string(threads);
         expect_identical(reference, run, what);
         if (first) oracle_calls = run.oracle_calls;
@@ -115,7 +125,10 @@ Differential expect_all_variants_identical(const Problem& problem,
 
 Differential expect_all_variants_identical(const svc::NetworkSpec& s,
                                            const std::string& label) {
-  return expect_all_variants_identical(svc::make_problem(s), label);
+  const Problem problem = svc::make_problem(s);
+  const Problem reference =
+      with_utility(problem, reference_of(problem.slot_utility_ptr()));
+  return expect_all_variants_identical(problem, &reference, label);
 }
 
 TEST_F(ExactGreedyDifferential, ExactTies) {
@@ -171,8 +184,8 @@ TEST_F(ExactGreedyDifferential, BenchmarkShapes) {
 }
 
 TEST_F(ExactGreedyDifferential, UnfusedSlotCount) {
-  // T = 70 exceeds FusedSlotEvaluator::kMaxSlots, so even kAuto takes the
-  // per-slot marginal_batch path.
+  // T = 70 exceeds FusedSlotEvaluator::kMaxSlots, so even the production
+  // utility takes the per-slot marginal_batch path.
   static_assert(70 > sub::FusedSlotEvaluator::kMaxSlots);
   for (const std::uint64_t seed : {51u, 52u, 53u, 54u}) {
     auto s = spec(40, 30, seed);
@@ -192,35 +205,36 @@ TEST_F(ExactGreedyDifferential, MaskedDeadSensors) {
     util::Rng rng(seed);
     std::vector<std::uint8_t> dead(base.sensor_count());
     for (auto& d : dead) d = rng.uniform() < 0.3;
-    const Problem problem(
-        std::make_shared<MaskedUtility>(base.slot_utility_ptr(), dead),
-        base.slots_per_period(), base.periods(), true);
-    const GreedyResult reference = expect_all_variants_identical(
-        problem, "masked seed " + std::to_string(seed)).reference;
+    const Problem problem = with_utility(
+        base, std::make_shared<MaskedUtility>(base.slot_utility_ptr(), dead));
+    const Problem masked_reference = with_utility(
+        base, std::make_shared<MaskedUtility>(
+                  reference_of(base.slot_utility_ptr()), dead));
+    const GreedyResult reference =
+        expect_all_variants_identical(problem, &masked_reference,
+                                      "masked seed " + std::to_string(seed))
+            .reference;
     EXPECT_EQ(reference.steps.back().gain, 0.0);
   }
 }
 
-TEST_F(ExactGreedyDifferential, WeightedCoverage) {
-  // Unit-weight max cover, not detection: each sensor covers 1-4 distinct
-  // items of 20, so gains are small integers and most steps tie.
+TEST_F(ExactGreedyDifferential, AreaCoverage) {
+  // Area coverage, not detection: 60 disks of radius 1-3 over a 20 m square
+  // sampled on 1 m cells, so every face area is a whole number of cells,
+  // gains are small integers and most steps tie.
   for (const std::uint64_t seed : {71u, 72u, 73u, 74u}) {
     util::Rng rng(seed);
-    const std::size_t sensors = 60, items = 20;
-    std::vector<std::vector<std::size_t>> covers(sensors);
-    for (auto& row : covers) {
-      const auto k = rng.uniform_int(1, 4);
-      while (row.size() < static_cast<std::size_t>(k)) {
-        const auto item = static_cast<std::size_t>(rng.uniform_int(0, items - 1));
-        if (std::find(row.begin(), row.end(), item) == row.end())
-          row.push_back(item);
-      }
+    std::vector<geom::Disk> disks;
+    for (std::size_t v = 0; v < 60; ++v) {
+      const geom::Vec2 center{rng.uniform(0.0, 20.0), rng.uniform(0.0, 20.0)};
+      disks.emplace_back(center, rng.uniform(1.0, 3.0));
     }
     const Problem problem(
-        std::make_shared<sub::WeightedCoverage>(sensors, std::move(covers), items),
+        std::make_shared<sub::AreaUtility>(std::make_shared<geom::Arrangement>(
+            geom::Rect::square(20.0), disks, 20)),
         4, 1, true);
-    expect_all_variants_identical(problem,
-                                  "coverage seed " + std::to_string(seed));
+    expect_all_variants_identical(problem, nullptr,
+                                  "area seed " + std::to_string(seed));
   }
 }
 

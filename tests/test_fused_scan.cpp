@@ -1,10 +1,10 @@
 // Scheduler-level differential tests for the fused slot-row argmax path
 // (DESIGN.md section 15). The greedy family resolves a FusedSlotEvaluator
 // once per schedule() call and, when available, walks each candidate's
-// coverage row once for all T slots instead of once per slot. Forcing the
-// scalar reference kernel disables the fused path entirely (make_state()
-// returns the reference MultiState), so comparing schedules across kernel
-// settings exercises fused-vs-unfused end to end: identical placements,
+// coverage row once for all T slots instead of once per slot. The states of
+// sub::reference_detection() are not the CSR type, so they never fuse;
+// comparing schedules on the production utility with schedules on its
+// reference exercises fused-vs-unfused end to end: identical placements,
 // identical step gains bit-for-bit, identical oracle accounting.
 #include <gtest/gtest.h>
 
@@ -16,20 +16,10 @@
 #include "core/stochastic_greedy.h"
 #include "submodular/detection.h"
 #include "submodular/function.h"
-#include "submodular/kernel.h"
 #include "util/rng.h"
 
 namespace cool::core {
 namespace {
-
-class KernelGuard {
- public:
-  KernelGuard() : saved_(sub::marginal_kernel()) {}
-  ~KernelGuard() { sub::set_marginal_kernel(saved_); }
-
- private:
-  sub::MarginalKernel saved_;
-};
 
 std::shared_ptr<sub::MultiTargetDetectionUtility> random_utility(
     std::size_t sensors, std::size_t targets, std::uint64_t seed) {
@@ -62,56 +52,43 @@ void expect_same_result(const GreedyResult& a, const GreedyResult& b,
 }
 
 TEST(FusedScan, GreedyScheduleIdenticalAcrossKernels) {
-  KernelGuard guard;
   for (const std::uint64_t seed : {7ull, 99ull}) {
-    const Problem problem(random_utility(26, 12, seed), 4, 3, true);
-    sub::set_marginal_kernel(sub::MarginalKernel::kScalar);
-    const auto reference = GreedyScheduler().schedule(problem);
-    for (const auto kernel :
-         {sub::MarginalKernel::kAuto, sub::MarginalKernel::kLadder,
-          sub::MarginalKernel::kSimd}) {
-      sub::set_marginal_kernel(kernel);
-      const auto fast = GreedyScheduler().schedule(problem);
-      expect_same_result(reference, fast, "greedy");
-    }
+    const auto utility = random_utility(26, 12, seed);
+    const Problem problem(utility, 4, 3, true);
+    const Problem unfused(sub::reference_detection(*utility), 4, 3, true);
+    const auto reference = GreedyScheduler().schedule(unfused);
+    const auto fast = GreedyScheduler().schedule(problem);
+    expect_same_result(reference, fast, "greedy");
   }
 }
 
 TEST(FusedScan, StochasticGreedyScheduleIdenticalAcrossKernels) {
-  KernelGuard guard;
-  const Problem problem(random_utility(30, 10, 5), 3, 3, true);
+  const auto utility = random_utility(30, 10, 5);
+  const Problem problem(utility, 3, 3, true);
+  const Problem unfused(sub::reference_detection(*utility), 3, 3, true);
   const StochasticGreedyScheduler scheduler(0.2);
-  sub::set_marginal_kernel(sub::MarginalKernel::kScalar);
   util::Rng reference_rng(1234);
-  const auto reference = scheduler.schedule(problem, reference_rng);
-  for (const auto kernel :
-       {sub::MarginalKernel::kAuto, sub::MarginalKernel::kLadder,
-        sub::MarginalKernel::kSimd}) {
-    sub::set_marginal_kernel(kernel);
-    util::Rng rng(1234);
-    const auto fast = scheduler.schedule(problem, rng);
-    expect_same_result(reference, fast, "stochastic");
-  }
+  const auto reference = scheduler.schedule(unfused, reference_rng);
+  util::Rng rng(1234);
+  const auto fast = scheduler.schedule(problem, rng);
+  expect_same_result(reference, fast, "stochastic");
 }
 
 TEST(FusedScan, ResolveFusedRequiresFastStatesOverOneUtility) {
-  KernelGuard guard;
   const auto utility = random_utility(16, 6, 42);
 
   // Fast states over one shared utility: fused path available.
-  sub::set_marginal_kernel(sub::MarginalKernel::kAuto);
   std::vector<std::unique_ptr<sub::EvalState>> fast;
   for (int t = 0; t < 3; ++t) fast.push_back(utility->make_state());
   EXPECT_TRUE(static_cast<bool>(sub::resolve_fused(fast)));
 
-  // Scalar reference states: no fused path (they are not the CSR type).
-  sub::set_marginal_kernel(sub::MarginalKernel::kScalar);
+  // Reference states: no fused path (they are not the CSR type).
+  const auto reference = sub::reference_detection(*utility);
   std::vector<std::unique_ptr<sub::EvalState>> scalar;
-  for (int t = 0; t < 3; ++t) scalar.push_back(utility->make_state());
+  for (int t = 0; t < 3; ++t) scalar.push_back(reference->make_state());
   EXPECT_FALSE(static_cast<bool>(sub::resolve_fused(scalar)));
 
   // States over two different utilities: rejected (rows don't alias).
-  sub::set_marginal_kernel(sub::MarginalKernel::kAuto);
   const auto other = random_utility(16, 6, 43);
   std::vector<std::unique_ptr<sub::EvalState>> mixed;
   mixed.push_back(utility->make_state());
@@ -130,8 +107,6 @@ TEST(FusedScan, ResolveFusedRequiresFastStatesOverOneUtility) {
 // every element any state holds (the odd elements added below never appear
 // in the even-only candidate list).
 TEST(FusedScan, FusedArgmaxMatchesMarginalMidSchedule) {
-  KernelGuard guard;
-  sub::set_marginal_kernel(sub::MarginalKernel::kAuto);
   const auto utility = random_utility(20, 8, 77);
   std::vector<std::unique_ptr<sub::EvalState>> states;
   for (int t = 0; t < 5; ++t) states.push_back(utility->make_state());

@@ -22,11 +22,11 @@
 
 #include "core/greedy.h"
 #include "core/problem.h"
+#include "net/link.h"
 #include "net/network.h"
 #include "net/radio.h"
 #include "net/routing.h"
 #include "proto/dissemination.h"
-#include "proto/link.h"
 #include "sim/runtime.h"
 #include "util/rng.h"
 
@@ -170,9 +170,9 @@ DayOutcome run_day(const GoldenCase& c, std::uint64_t seed) {
   const net::Network network = net::make_random_network(config, deploy_rng);
   const std::size_t sink = net::choose_best_sink(network);
   const net::RoutingTree tree(network, sink);
-  proto::LinkModelConfig link_config;
+  net::LinkModelConfig link_config;
   link_config.global_loss = c.global_loss;
-  const proto::LinkModel links(network, link_config);
+  const net::LinkModel links(network, link_config);
   const net::RadioEnergyModel radio;
 
   // A 12-hour working day of 15-minute slots at rho = 3 (T = 4).

@@ -17,11 +17,11 @@ net::Network chain_network() {
   return net::Network(std::move(sensors), {}, geom::Rect({0, 0}, {30, 10}));
 }
 
-LinkModel perfect_links(const net::Network& network) {
-  LinkModelConfig config;
+net::LinkModel perfect_links(const net::Network& network) {
+  net::LinkModelConfig config;
   config.near_delivery = 1.0;
   config.edge_delivery = 1.0;
-  return LinkModel(network, config);
+  return net::LinkModel(network, config);
 }
 
 HeartbeatConfig fast_config() {
@@ -146,11 +146,11 @@ TEST(HeartbeatDetector, FalseSuspicionsRiseWithGlobalLossBoundedByBackoff) {
   const std::vector<std::uint8_t> up(3, 1);
 
   const auto false_suspicions = [&](double global_loss, double backoff_factor) {
-    LinkModelConfig link_config;
+    net::LinkModelConfig link_config;
     link_config.near_delivery = 1.0;
     link_config.edge_delivery = 1.0;
     link_config.global_loss = global_loss;
-    const LinkModel links(network, link_config);
+    const net::LinkModel links(network, link_config);
     HeartbeatConfig config;
     config.timeout_slots = 2;
     config.suspect_windows = 30;  // suspicion is cheap, death needs ~a minute

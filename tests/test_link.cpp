@@ -1,4 +1,4 @@
-#include "proto/link.h"
+#include "net/link.h"
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,7 @@
 
 #include "net/routing.h"
 
-namespace cool::proto {
+namespace cool::net {
 namespace {
 
 // Nodes at distances 2 (near), 9 (edge-ish) and 30 (out of range) from node 0,
@@ -224,4 +224,4 @@ TEST(LinkModel, CopiesShareTheEdgeTable) {
 }
 
 }  // namespace
-}  // namespace cool::proto
+}  // namespace cool::net

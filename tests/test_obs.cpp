@@ -13,6 +13,7 @@
 
 #include "core/greedy.h"
 #include "core/problem.h"
+#include "net/link.h"
 #include "net/network.h"
 #include "net/routing.h"
 #include "obs/json.h"
@@ -21,7 +22,6 @@
 #include "obs/session.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
-#include "proto/link.h"
 #include "sim/runtime.h"
 
 namespace cool::obs {
@@ -310,7 +310,7 @@ TEST(Timeline, FaultyRuntimeRunEmitsOneRecordPerSlot) {
       core::Problem::detection_instance(network, 0.4, pattern, 12);
   const auto schedule = core::GreedyScheduler().schedule(problem).schedule;
   const net::RoutingTree tree(network, net::choose_best_sink(network));
-  const proto::LinkModel links(network);
+  const net::LinkModel links(network);
   const net::RadioEnergyModel radio;
 
   std::ostringstream jsonl;

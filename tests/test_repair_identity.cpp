@@ -7,9 +7,11 @@
 // lets a coold WAL holding repair entries replay unchanged.
 //
 // Instances cover the service shapes (svc::make_problem), 1 / 8 / n/5 dead
-// sensors, the incremental and the full local search, both marginal
-// kernels, non-uniform probabilities and weights with duplicate detector
-// entries, multi-slot (rho <= 1) and unplaced sensors, and MaskedUtility.
+// sensors, the incremental and the full local search, the production
+// detection utility and sub::reference_detection() of it (reference states,
+// rebuild scorer), non-uniform probabilities and weights with duplicate
+// detector entries, multi-slot (rho <= 1) and unplaced sensors, and
+// MaskedUtility.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +25,6 @@
 #include "core/problem.h"
 #include "core/repair.h"
 #include "submodular/detection.h"
-#include "submodular/kernel.h"
 #include "svc/protocol.h"
 #include "svc/session.h"
 #include "util/rng.h"
@@ -141,14 +142,6 @@ RepairResult reference_repair(const PeriodicSchedule& schedule,
   return result;
 }
 
-class RepairIdentity : public ::testing::Test {
- protected:
-  void TearDown() override { sub::set_marginal_kernel(saved_kernel_); }
-
- private:
-  sub::MarginalKernel saved_kernel_ = sub::marginal_kernel();
-};
-
 svc::NetworkSpec spec(std::size_t sensors, std::size_t targets, double radius,
                       double side = 100.0, std::uint64_t seed = 1) {
   svc::NetworkSpec s;
@@ -188,12 +181,15 @@ void expect_identical(const RepairResult& reference, const RepairResult& run,
       << what;
 }
 
-// Repairs `schedule` for every dead count and both search modes; returns
-// the total number of moves made, so callers can insist on real searches.
+// Repairs `schedule` for every dead count and both search modes, on
+// `utility` and on its reference, each against the reference loop over the
+// reference states; returns the moves made on `utility`, so callers can
+// insist on real searches.
 std::size_t check_repairs(const PeriodicSchedule& schedule,
-                   const sub::SubmodularFunction& utility,
-                   const std::vector<std::size_t>& dead_counts,
-                   std::uint64_t seed, const std::string& what) {
+                          const sub::MultiTargetDetectionUtility& utility,
+                          const std::vector<std::size_t>& dead_counts,
+                          std::uint64_t seed, const std::string& what) {
+  const auto reference_utility = sub::reference_detection(utility);
   const std::size_t n = schedule.sensor_count();
   std::size_t moves = 0;
   for (const std::size_t count : dead_counts) {
@@ -203,16 +199,26 @@ std::size_t check_repairs(const PeriodicSchedule& schedule,
       config.restrict_to_affected = restrict;
       const std::string label = what + " dead=" + std::to_string(count) +
                                 (restrict ? " restricted" : " full");
-      const auto reference = reference_repair(schedule, utility, dead, config);
+      const auto reference =
+          reference_repair(schedule, *reference_utility, dead, config);
       const auto run = repair_schedule(schedule, utility, dead, config);
-      expect_identical(reference, run, label);
+      expect_identical(reference, run, label + " production");
       moves += run.moves;
+      expect_identical(
+          reference,
+          repair_schedule(schedule, *reference_utility, dead, config),
+          label + " reference");
     }
   }
   return moves;
 }
 
-TEST_F(RepairIdentity, ServiceShapesMatchTheReferenceLoop) {
+const sub::MultiTargetDetectionUtility& detection(const Problem& problem) {
+  return dynamic_cast<const sub::MultiTargetDetectionUtility&>(
+      problem.slot_utility());
+}
+
+TEST(RepairIdentity, ServiceShapesMatchTheReferenceLoop) {
   struct Shape {
     const char* name;
     svc::NetworkSpec spec;
@@ -226,30 +232,23 @@ TEST_F(RepairIdentity, ServiceShapesMatchTheReferenceLoop) {
       // Unsaturated all-overlap: every move reshuffles whole slots.
       {"n40/4/r200", spec(40, 4, 200.0)},
   };
-  for (const auto kernel :
-       {sub::MarginalKernel::kAuto, sub::MarginalKernel::kScalar}) {
-    sub::set_marginal_kernel(kernel);
-    const std::string name =
-        kernel == sub::MarginalKernel::kAuto ? "kAuto " : "kScalar ";
-    for (const auto& shape : shapes) {
-      const Problem problem = svc::make_problem(shape.spec);
-      const auto schedule = LazyGreedyScheduler().schedule(problem).schedule;
-      const std::size_t n = shape.spec.sensors;
-      const std::size_t moves =
-          check_repairs(schedule, problem.slot_utility(), {1, 8, n / 5}, 11,
-                        name + shape.name);
-      // The saturated shapes (n30 with sparse rows, n800 all-overlap) have
-      // no improving move; every other shape must exercise the refresh.
-      if (n == 200 || shape.spec.targets == 800 || n == 40) {
-        EXPECT_GT(moves, 0u) << name << shape.name;
-      }
+  for (const auto& shape : shapes) {
+    const Problem problem = svc::make_problem(shape.spec);
+    const auto schedule = LazyGreedyScheduler().schedule(problem).schedule;
+    const std::size_t n = shape.spec.sensors;
+    const std::size_t moves = check_repairs(
+        schedule, detection(problem), {1, 8, n / 5}, 11, shape.name);
+    // The saturated shapes (n30 with sparse rows, n800 all-overlap) have
+    // no improving move; every other shape must exercise the refresh.
+    if (n == 200 || shape.spec.targets == 800 || n == 40) {
+      EXPECT_GT(moves, 0u) << shape.name;
     }
   }
 }
 
 // Non-uniform probabilities and weights, some sensors listed twice for one
 // target, and a schedule where sensors sit in zero, one or several slots.
-TEST_F(RepairIdentity, MultiSlotAndNonUniformInstancesMatch) {
+TEST(RepairIdentity, MultiSlotAndNonUniformInstancesMatch) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     util::Rng rng(seed);
     const std::size_t n = 60, m = 25, T = 4;
@@ -274,17 +273,13 @@ TEST_F(RepairIdentity, MultiSlotAndNonUniformInstancesMatch) {
             v, static_cast<std::size_t>(rng.uniform_int(
                    0, static_cast<std::int64_t>(T) - 1)));
     }
-    for (const auto kernel :
-         {sub::MarginalKernel::kAuto, sub::MarginalKernel::kScalar}) {
-      sub::set_marginal_kernel(kernel);
-      EXPECT_GT(check_repairs(schedule, utility, {1, 8, n / 5}, seed,
-                              "seed " + std::to_string(seed)),
-                0u);
-    }
+    EXPECT_GT(check_repairs(schedule, utility, {1, 8, n / 5}, seed,
+                            "seed " + std::to_string(seed)),
+              0u);
   }
 }
 
-TEST_F(RepairIdentity, MaskedUtilityKeepsTheRebuildLoop) {
+TEST(RepairIdentity, MaskedUtilityKeepsTheRebuildLoop) {
   const Problem problem = svc::make_problem(spec(200, 40, 40.0, 140.0, 9));
   const auto schedule = LazyGreedyScheduler().schedule(problem).schedule;
   const MaskedUtility masked(problem.slot_utility_ptr(), random_dead(200, 12, 9));
@@ -303,13 +298,13 @@ TEST_F(RepairIdentity, MaskedUtilityKeepsTheRebuildLoop) {
 // The MoveScorer contract entry by entry: after arbitrary (not only
 // improving) moves, every loss and gain the search may read equals, to the
 // bit, marginal() on a fresh state built by add()ing the slot's other
-// members in slot order. Non-uniform probabilities make the fold order
-// visible in the bits.
-TEST_F(RepairIdentity, ScorerTablesMatchFreshStatesAfterEveryMove) {
+// members in slot order, on the production utility and on its reference.
+// Non-uniform probabilities make the fold order visible in the bits. The
+// scorer under test is the production one (move-local refresh) or the
+// reference's (the default rebuild).
+TEST(RepairIdentity, ScorerTablesMatchFreshStatesAfterEveryMove) {
   constexpr std::size_t kNoSlot = sub::SlotPartition::kNoSlot;
-  for (const auto kernel :
-       {sub::MarginalKernel::kAuto, sub::MarginalKernel::kScalar}) {
-    sub::set_marginal_kernel(kernel);
+  for (const bool reference_scorer : {false, true}) {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
       util::Rng rng(seed * 7);
       const std::size_t n = 50, m = 12, T = 5;
@@ -324,6 +319,7 @@ TEST_F(RepairIdentity, ScorerTablesMatchFreshStatesAfterEveryMove) {
         }
       }
       const sub::MultiTargetDetectionUtility utility(n, std::move(targets));
+      const auto reference = sub::reference_detection(utility);
 
       std::vector<std::vector<std::size_t>> members(T);
       std::vector<std::size_t> home(n, kNoSlot);
@@ -353,26 +349,32 @@ TEST_F(RepairIdentity, ScorerTablesMatchFreshStatesAfterEveryMove) {
       partition.scored = &scored;
       partition.loss = &loss;
       partition.gain = &gain;
-      const auto scorer = utility.make_move_scorer(partition);
+      const auto scorer = reference_scorer
+                              ? reference->make_move_scorer(partition)
+                              : utility.make_move_scorer(partition);
 
+      const sub::SubmodularFunction* const oracles[] = {&utility,
+                                                        reference.get()};
       const auto check = [&](const std::string& when) {
-        for (std::size_t v = 0; v < n; ++v) {
-          if (!movable[v]) continue;
-          if (home[v] != kNoSlot) {
-            const auto rest = utility.make_state();
-            for (const auto u : members[home[v]])
-              if (u != v) rest->add(u);
-            ASSERT_EQ(std::bit_cast<std::uint64_t>(loss[v]),
-                      std::bit_cast<std::uint64_t>(rest->marginal(v)))
-                << when << " loss of " << v;
-          }
-          for (std::size_t s = 0; s < T; ++s) {
-            if (s == home[v] || !scored[s]) continue;
-            const auto state = utility.make_state();
-            for (const auto u : members[s]) state->add(u);
-            ASSERT_EQ(std::bit_cast<std::uint64_t>(gain[v * T + s]),
-                      std::bit_cast<std::uint64_t>(state->marginal(v)))
-                << when << " gain of " << v << " into " << s;
+        for (const sub::SubmodularFunction* oracle : oracles) {
+          for (std::size_t v = 0; v < n; ++v) {
+            if (!movable[v]) continue;
+            if (home[v] != kNoSlot) {
+              const auto rest = oracle->make_state();
+              for (const auto u : members[home[v]])
+                if (u != v) rest->add(u);
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(loss[v]),
+                        std::bit_cast<std::uint64_t>(rest->marginal(v)))
+                  << when << " loss of " << v;
+            }
+            for (std::size_t s = 0; s < T; ++s) {
+              if (s == home[v] || !scored[s]) continue;
+              const auto state = oracle->make_state();
+              for (const auto u : members[s]) state->add(u);
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(gain[v * T + s]),
+                        std::bit_cast<std::uint64_t>(state->marginal(v)))
+                  << when << " gain of " << v << " into " << s;
+            }
           }
         }
       };
@@ -406,7 +408,7 @@ TEST_F(RepairIdentity, ScorerTablesMatchFreshStatesAfterEveryMove) {
 
 // Deterministic cost guard for the large-closed tenant shape: the
 // move-local refresh must stay well under the rebuild loop's oracle calls.
-TEST_F(RepairIdentity, MoveLocalRefreshCutsOracleCalls) {
+TEST(RepairIdentity, MoveLocalRefreshCutsOracleCalls) {
   const Problem problem = svc::make_problem(spec(800, 800, 6.0));
   const auto schedule = LazyGreedyScheduler().schedule(problem).schedule;
   const auto dead = random_dead(800, 8, 2);
