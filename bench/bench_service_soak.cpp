@@ -62,6 +62,7 @@
 #include "svc/protocol.h"
 #include "util/cli.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 #ifndef COOL_COOLD_PATH
 #define COOL_COOLD_PATH "coold"
@@ -75,13 +76,6 @@ using Clock = std::chrono::steady_clock;
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
-}
-
-double percentile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double index = q * static_cast<double>(values.size() - 1);
-  return values[static_cast<std::size_t>(index + 0.5)];
 }
 
 int connect_unix(const std::string& path) {
@@ -531,8 +525,9 @@ int main(int argc, char** argv) {
 
   const bool shed_engaged = sheds > 0;
   const bool trace_present = acked_plans > 0 && acked_with_trace == acked_plans;
-  const double p50 = percentile(latencies_ms, 0.50);
-  const double p99 = percentile(latencies_ms, 0.99);
+  // util::percentile rejects an empty sample; a run that acked nothing reads 0.
+  const double p50 = latencies_ms.empty() ? 0.0 : util::percentile(latencies_ms, 0.50);
+  const double p99 = latencies_ms.empty() ? 0.0 : util::percentile(latencies_ms, 0.99);
   std::printf(
       "soak: %zu rounds, %zu kills, %zu hostile frames, %zu sheds, "
       "%zu retries | acked_lost=%zu recovery_ok=%d crash_free=%d "

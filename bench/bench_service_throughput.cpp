@@ -26,7 +26,6 @@
 // histogram must have observed every planning ack. svc_stats_reconciled
 // is 0 when consistent (zero tolerance). --obs off measures the kill
 // switch's hot path for scripts/check_obs_overhead.sh.
-#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -41,17 +40,7 @@
 #include "svc/service.h"
 #include "util/cli.h"
 #include "util/parallel.h"
-
-namespace {
-
-double percentile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const double index = q * static_cast<double>(values.size() - 1);
-  return values[static_cast<std::size_t>(index + 0.5)];
-}
-
-}  // namespace
+#include "util/stats.h"
 
 int main(int argc, char** argv) {
   using namespace cool;
@@ -176,8 +165,9 @@ int main(int argc, char** argv) {
   const double requests_per_s =
       serve_ms > 0.0 ? static_cast<double>(ok_count) / (serve_ms / 1000.0)
                      : 0.0;
-  const double p50 = percentile(latencies_ms, 0.50);
-  const double p99 = percentile(latencies_ms, 0.99);
+  // util::percentile rejects an empty sample; a run that acked nothing reads 0.
+  const double p50 = latencies_ms.empty() ? 0.0 : util::percentile(latencies_ms, 0.50);
+  const double p99 = latencies_ms.empty() ? 0.0 : util::percentile(latencies_ms, 0.99);
   // Completion accounting is the contract: one callback per submit, no
   // drops, no doubles. Anything else is a lost ack.
   const double acked_lost = static_cast<double>(submitted - completions);

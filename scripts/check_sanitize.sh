@@ -44,7 +44,9 @@ if [ "${mode}" = "tsan" ]; then
   # suite the svc worker reaches on every repair; Network covers the lazily
   # built neighbour lists, whose first use may race across campaign days,
   # and Link the link model's lazily built edge table, shared the same way.
-  default_filter='Parallel|BatchEval|Greedy|LazyGreedy|StochasticGreedy|PassiveGreedy|Evaluator|LpScheduler|Campaign|Backoff|LossyCollection|DeliveredCoverage|Svc|StateReuse|Flight|Introspect|MetricsRegistryThreads|LogConcurrency|Prof|Arena|DetectionReference|FusedScan|Repair|Network|Link'
+  # TraceGolden runs probe traces on four threads at once against the
+  # per-thread clear-sky memo of energy/trace.cpp.
+  default_filter='Parallel|BatchEval|Greedy|LazyGreedy|StochasticGreedy|PassiveGreedy|Evaluator|LpScheduler|Campaign|Backoff|LossyCollection|DeliveredCoverage|Svc|StateReuse|Flight|Introspect|MetricsRegistryThreads|LogConcurrency|Prof|Arena|DetectionReference|FusedScan|Repair|Network|Link|TraceGolden'
   for threads in 2 4; do
     echo "== TSan pass: COOL_THREADS=${threads} =="
     COOL_THREADS="${threads}" ctest --output-on-failure -j "$(nproc)" \

@@ -29,6 +29,14 @@ for binary in "${bench_dir}/bench_scheduler_perf" \
   fi
 done
 
+# The archive name (see the end) is decided here, before the suite rewrites
+# the tracked ${out}: a run of a tree whose tracked files differ from HEAD
+# is filed as <sha>-dirty, so it is never mistaken for a run of HEAD.
+sha="$(git -C "${repo_root}" rev-parse --short HEAD 2>/dev/null || echo nogit)"
+if [ "${sha}" != nogit ] && ! git -C "${repo_root}" diff --quiet HEAD --; then
+  sha="${sha}-dirty"
+fi
+
 workdir="$(mktemp -d)"
 trap 'rm -rf "${workdir}"' EXIT
 thread_artifacts=()
@@ -96,13 +104,12 @@ echo "suite written to ${out}"
 
 # Archive every run into bench_history/ so the perf trajectory across PRs is
 # recorded, not just the latest point. The filename carries the run date and
-# git sha; full provenance (build type, obs flag, seeds, argv) is already
-# stamped inside each merged bench record, so an entry is self-describing
-# even after a rebase. check_perf_regress.sh keeps reading the canonical
+# git sha (with -dirty, decided at the start); full provenance (build type,
+# obs flag, seeds, argv) is already stamped inside each merged bench record,
+# so an entry is self-describing even after a rebase. check_perf_regress.sh keeps reading the canonical
 # ${out}; the archive is append-only history for `coolstat diff` bisection.
 history_dir="${repo_root}/bench_history"
 mkdir -p "${history_dir}"
 stamp="$(date -u +%Y%m%dT%H%M%SZ)"
-sha="$(git -C "${repo_root}" rev-parse --short HEAD 2>/dev/null || echo nogit)"
 cp "${out}" "${history_dir}/${stamp}-${sha}.json"
 echo "archived to ${history_dir}/${stamp}-${sha}.json"

@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/greedy.h"
 #include "core/lazy_greedy.h"
 #include "core/passive_greedy.h"
 
@@ -27,6 +26,15 @@ ChanceConstrainedPlan margin_plan_shell(
   plan.slots_per_period = plan.pattern.slots_per_period();
   plan.rho_greater_than_one = plan.pattern.rho() > 1.0;
   return plan;
+}
+
+// The greedy scheme the ρ regime picks: Algorithm 1 through the lazy greedy
+// (byte-identical to the plain GreedyScheduler scan, which stays as the
+// tests' reference) when ρ > 1, its passive dual otherwise.
+PeriodicSchedule greedy_schedule(const Problem& problem) {
+  return problem.rho_greater_than_one()
+             ? LazyGreedyScheduler().schedule(problem).schedule
+             : PassiveGreedyScheduler().schedule(problem).schedule;
 }
 
 }  // namespace
@@ -57,9 +65,7 @@ DayPlan WeatherAdaptivePlanner::plan_day(energy::Weather weather) const {
 
   const Problem problem(utility_, plan.slots_per_period, plan.periods,
                         plan.rho_greater_than_one);
-  plan.schedule = plan.rho_greater_than_one
-                      ? GreedyScheduler().schedule(problem).schedule
-                      : PassiveGreedyScheduler().schedule(problem).schedule;
+  plan.schedule = greedy_schedule(problem);
   plan.expected_average_utility = evaluate(problem, plan.schedule).per_slot_average;
   return plan;
 }
@@ -79,9 +85,7 @@ ChanceConstrainedPlan plan_chance_constrained(
   auto plan = margin_plan_shell(utility, model, quantile, periods);
   const Problem problem(utility, plan.slots_per_period, periods,
                         plan.rho_greater_than_one);
-  plan.schedule = plan.rho_greater_than_one
-                      ? LazyGreedyScheduler().schedule(problem).schedule
-                      : PassiveGreedyScheduler().schedule(problem).schedule;
+  plan.schedule = greedy_schedule(problem);
   plan.expected_average_utility = evaluate(problem, plan.schedule).per_slot_average;
   return plan;
 }

@@ -31,10 +31,15 @@ HarvestSimulator::HarvestSimulator(const SolarModel& solar, Weather weather,
 }
 
 double HarvestSimulator::step(double minute_of_day, double dt_min, bool node_active) {
+  return step(minute_of_day, dt_min, node_active,
+              solar_->clear_sky_irradiance(minute_of_day));
+}
+
+double HarvestSimulator::step(double minute_of_day, double dt_min, bool node_active,
+                              double clear_sky_wm2) {
   if (dt_min < 0.0) throw std::invalid_argument("HarvestSimulator::step: dt < 0");
   const double attenuation = clouds_.attenuation(minute_of_day);
-  const double irradiance =
-      solar_->clear_sky_irradiance(minute_of_day) * attenuation;
+  const double irradiance = clear_sky_wm2 * attenuation;
   const double power_in = cell_.charge_power(irradiance);
   const double seconds = dt_min * 60.0;
   if (node_active) {

@@ -52,6 +52,11 @@ class HarvestSimulator {
   // reading at the step start (what Fig 7 plots). Consumes cloud noise:
   // minutes are expected to be monotone, like CloudField's.
   double step(double minute_of_day, double dt_min, bool node_active);
+  // The same step under a clear-sky irradiance the caller already holds for
+  // `minute_of_day` (generate_daily_trace reads one curve per day); the
+  // step above passes the solar model's value.
+  double step(double minute_of_day, double dt_min, bool node_active,
+              double clear_sky_wm2);
 
   const Battery& battery() const noexcept { return battery_; }
   Battery& battery() noexcept { return battery_; }

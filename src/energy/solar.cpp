@@ -21,15 +21,17 @@ SolarModel::SolarModel(const SolarModelConfig& config) : config_(config) {
   // Cooper's formula for solar declination.
   declination_rad_ = 23.45 * kDegToRad *
       std::sin(2.0 * std::numbers::pi * (284.0 + config.day_of_year) / 365.0);
+  // Each product keeps the operands and the order of the per-minute
+  // expression it replaces, so every elevation keeps its bits.
+  const double lat = config_.latitude_deg * kDegToRad;
+  sin_lat_sin_dec_ = std::sin(lat) * std::sin(declination_rad_);
+  cos_lat_cos_dec_ = std::cos(lat) * std::cos(declination_rad_);
 }
 
 double SolarModel::elevation_rad(double minute_of_day) const {
   // Hour angle: 0 at solar noon, 15 deg per hour.
   const double hour_angle = (minute_of_day / 60.0 - 12.0) * 15.0 * kDegToRad;
-  const double lat = config_.latitude_deg * kDegToRad;
-  const double sin_elev = std::sin(lat) * std::sin(declination_rad_) +
-                          std::cos(lat) * std::cos(declination_rad_) *
-                              std::cos(hour_angle);
+  const double sin_elev = sin_lat_sin_dec_ + cos_lat_cos_dec_ * std::cos(hour_angle);
   return std::asin(std::clamp(sin_elev, -1.0, 1.0));
 }
 
@@ -38,12 +40,13 @@ double SolarModel::clear_sky_irradiance(double minute_of_day) const {
   if (elev <= 0.0) return 0.0;
   // Simple air-mass attenuation: I = I_peak * sin(e) * 0.7^(AM^0.678),
   // normalized so noon in midsummer approaches the configured peak.
-  const double air_mass = 1.0 / std::max(std::sin(elev), 1e-3);
+  const double sin_elev = std::sin(elev);
+  const double air_mass = 1.0 / std::max(sin_elev, 1e-3);
   const double atmospheric = std::pow(0.7, std::pow(air_mass, 0.678));
   // Normalize against the same expression at AM 1 so the configured peak is
   // attained when the sun is overhead.
   const double at_zenith = 0.7;
-  return config_.peak_irradiance_wm2 * std::sin(elev) * atmospheric / at_zenith;
+  return config_.peak_irradiance_wm2 * sin_elev * atmospheric / at_zenith;
 }
 
 double SolarModel::sunrise_minute() const {

@@ -34,6 +34,10 @@ class SolarModel {
  private:
   SolarModelConfig config_;
   double declination_rad_;
+  // sin(lat)·sin(δ) and cos(lat)·cos(δ): constant all day, so each
+  // elevation costs one cos of the hour angle and one asin.
+  double sin_lat_sin_dec_;
+  double cos_lat_cos_dec_;
 };
 
 // Rough lux equivalent of an irradiance (daylight: ~120 lux per W/m^2);

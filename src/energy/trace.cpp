@@ -1,6 +1,10 @@
 #include "energy/trace.h"
 
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 
 #include "util/csv.h"
@@ -49,6 +53,51 @@ ChargingTrace read_trace_csv(const std::string& path) {
   return trace;
 }
 
+namespace {
+
+// Every input a day's clear-sky samples depend on, doubles by their bits:
+// latitude, peak irradiance, the shifted day of year, and the sample
+// period, mode and report duty that set the minutes a trace steps from.
+// Equal keys give bit-identical curves.
+using ClearSkyKey = std::array<std::uint64_t, 6>;
+
+ClearSkyKey clear_sky_key(const SolarModelConfig& solar, const TraceConfig& config) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  return {bits(solar.latitude_deg), bits(solar.peak_irradiance_wm2),
+          static_cast<std::uint64_t>(solar.day_of_year),
+          bits(config.sample_period_min), static_cast<std::uint64_t>(config.mode),
+          bits(config.report_duty)};
+}
+
+// The clear-sky irradiance at each step's start minute, in step order: one
+// step per sample in kCycling mode, two in kMeasurement mode (the
+// reporting burst at `minute`, the idle rest at `minute + active_min`).
+// Each thread keeps the curve of its last key, so the probe traces of one
+// day compute it once; a new key overwrites it, which bounds the memo to
+// one day's grid, and no thread reads another's.
+const std::vector<double>& clear_sky_curve(const SolarModel& solar,
+                                           const TraceConfig& config,
+                                           std::size_t steps) {
+  thread_local std::optional<ClearSkyKey> memo_key;
+  thread_local std::vector<double> memo_curve;
+  const ClearSkyKey key = clear_sky_key(solar.config(), config);
+  if (memo_key == key) return memo_curve;
+  memo_key.reset();
+  memo_curve.clear();
+  const bool measurement = config.mode == TraceConfig::Mode::kMeasurement;
+  const double active_min = config.sample_period_min * config.report_duty;
+  memo_curve.reserve(measurement ? 2 * steps : steps);
+  for (std::size_t i = 0; i < steps; ++i) {
+    const double minute = static_cast<double>(i) * config.sample_period_min;
+    memo_curve.push_back(solar.clear_sky_irradiance(minute));
+    if (measurement) memo_curve.push_back(solar.clear_sky_irradiance(minute + active_min));
+  }
+  memo_key = key;
+  return memo_curve;
+}
+
+}  // namespace
+
 ChargingTrace generate_daily_trace(const TraceConfig& config, Weather weather,
                                    int node_id, int day, util::Rng& rng) {
   if (config.sample_period_min <= 0.0)
@@ -69,6 +118,7 @@ ChargingTrace generate_daily_trace(const TraceConfig& config, Weather weather,
   trace.day = day;
   trace.weather = weather;
   const auto steps = static_cast<std::size_t>(1440.0 / config.sample_period_min);
+  const std::vector<double>& sky = clear_sky_curve(solar, config, steps);
   trace.samples.reserve(steps);
   bool cycling_active = false;
   for (std::size_t i = 0; i < steps; ++i) {
@@ -78,13 +128,13 @@ ChargingTrace generate_daily_trace(const TraceConfig& config, Weather weather,
       // Paper state machine: ready -> active until empty -> passive until full.
       if (sim.battery().full()) cycling_active = true;
       if (sim.battery().empty()) cycling_active = false;
-      lux = sim.step(minute, config.sample_period_min, cycling_active);
+      lux = sim.step(minute, config.sample_period_min, cycling_active, sky[i]);
     } else {
       // Split the interval into a short reporting burst plus idle charging.
       const double active_min = config.sample_period_min * config.report_duty;
-      lux = sim.step(minute, active_min, /*node_active=*/true);
+      lux = sim.step(minute, active_min, /*node_active=*/true, sky[2 * i]);
       lux = sim.step(minute + active_min, config.sample_period_min - active_min,
-                     /*node_active=*/false);
+                     /*node_active=*/false, sky[2 * i + 1]);
     }
     TraceSample sample;
     sample.minute_of_day = minute;

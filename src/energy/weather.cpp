@@ -97,11 +97,15 @@ double CloudField::attenuation(double minute_of_day) {
   last_minute_ = minute_of_day;
   // Mean-reverting walk: state decays toward 0 with ~20-minute memory and
   // receives noise scaled by the condition's volatility.
-  const double theta = 1.0 / 20.0;
-  const double decay = std::exp(-theta * dt);
-  const double sigma = cloud_sigma(condition_);
-  const double noise_scale = sigma * std::sqrt(std::max(1e-12, 1.0 - decay * decay));
-  state_ = state_ * decay + rng_.normal(0.0, noise_scale);
+  if (dt != step_dt_) {
+    const double theta = 1.0 / 20.0;
+    step_dt_ = dt;
+    step_decay_ = std::exp(-theta * dt);
+    const double sigma = cloud_sigma(condition_);
+    step_noise_scale_ =
+        sigma * std::sqrt(std::max(1e-12, 1.0 - step_decay_ * step_decay_));
+  }
+  state_ = state_ * step_decay_ + rng_.normal(0.0, step_noise_scale_);
   const double mean = weather_mean_attenuation(condition_);
   return std::clamp(mean + state_, 0.01, 1.0);
 }

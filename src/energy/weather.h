@@ -59,6 +59,12 @@ class CloudField {
   util::Rng rng_;
   double state_;        // current deviation from the weather mean
   double last_minute_ = 0.0;
+  // The decay and noise scale of the last distinct step length (none yet
+  // while step_dt_ < 0): a trace steps by one sample period, so they are
+  // computed once, not per step.
+  double step_dt_ = -1.0;
+  double step_decay_ = 0.0;
+  double step_noise_scale_ = 0.0;
 };
 
 }  // namespace cool::energy

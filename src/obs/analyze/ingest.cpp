@@ -245,6 +245,8 @@ ProfileData parse_profile(const std::string& text) {
   if (doc.contains("profile") && doc.at("profile").is_object()) {
     const auto& header = doc.at("profile");
     data.sample_hz = static_cast<int>(num_or(header, "sample_hz", 0.0));
+    data.cpu_ms = num_or(header, "cpu_ms", 0.0);
+    data.effective_hz = num_or(header, "effective_hz", 0.0);
     data.samples = static_cast<std::uint64_t>(num_or(header, "samples", 0.0));
     data.recorded = static_cast<std::uint64_t>(num_or(header, "recorded", 0.0));
     data.wrapped = static_cast<std::uint64_t>(num_or(header, "wrapped", 0.0));

@@ -126,6 +126,8 @@ struct ProfileAllocRow {
 struct ProfileData {
   std::optional<Provenance> provenance;
   int sample_hz = 0;
+  double cpu_ms = 0.0;
+  double effective_hz = 0.0;  // recorded ÷ CPU seconds (prof::Profile)
   std::uint64_t samples = 0;
   std::uint64_t recorded = 0;
   std::uint64_t wrapped = 0;

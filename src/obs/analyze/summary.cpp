@@ -165,6 +165,8 @@ std::string frame_key(const std::string& name) {
 
 void summarize_profile(const ProfileData& data, RunSummary& summary) {
   put(summary, "sample_hz", static_cast<double>(data.sample_hz));
+  put(summary, "cpu_ms", data.cpu_ms);
+  put(summary, "effective_hz", data.effective_hz);
   put(summary, "samples", static_cast<double>(data.samples));
   put(summary, "recorded", static_cast<double>(data.recorded));
   put(summary, "wrapped", static_cast<double>(data.wrapped));

@@ -7,6 +7,7 @@
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/time.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -64,6 +65,8 @@ bool g_handler_installed = false;  // installed once, never restored: a
 ProfilerConfig g_config;
 std::chrono::steady_clock::time_point g_start_time;
 std::uint64_t g_duration_us = 0;
+std::int64_t g_start_cpu_ns = 0;  // process CPU clock at start()
+std::int64_t g_cpu_ns = 0;        // process CPU time of the stopped window
 
 void sigprof_handler(int, siginfo_t*, void*) {
   if (!g_sampling.load(std::memory_order_relaxed)) return;
@@ -168,6 +171,12 @@ std::uint64_t elapsed_us_since(std::chrono::steady_clock::time_point start) {
           .count());
 }
 
+std::int64_t process_cpu_ns() {
+  timespec now{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now);
+  return static_cast<std::int64_t>(now.tv_sec) * 1000000000 + now.tv_nsec;
+}
+
 bool write_fully(int fd, const char* data, std::size_t size) noexcept {
   while (size > 0) {
     const ssize_t wrote = ::write(fd, data, size);
@@ -232,7 +241,9 @@ bool start(const ProfilerConfig& config) {
   g_next.store(0, std::memory_order_relaxed);
   g_config = config;
   g_duration_us = 0;
+  g_cpu_ns = 0;
   g_start_time = std::chrono::steady_clock::now();
+  g_start_cpu_ns = process_cpu_ns();
 
   if (config.cpu) {
     // glibc's first backtrace() dlopens libgcc — do it here, where malloc
@@ -282,6 +293,7 @@ bool stop() {
   if (g_config.alloc) set_alloc_profiling(false);
   profiling_flag().store(false, std::memory_order_release);
   g_duration_us = elapsed_us_since(g_start_time);
+  g_cpu_ns = process_cpu_ns() - g_start_cpu_ns;
   g_running = false;
   return true;
 }
@@ -300,7 +312,14 @@ Profile collect() {
     profile.alloc_hooks = alloc_hooks_compiled() && g_config.alloc;
     profile.duration_us =
         g_running ? elapsed_us_since(g_start_time) : g_duration_us;
+    profile.cpu_ms =
+        static_cast<double>(g_running ? process_cpu_ns() - g_start_cpu_ns : g_cpu_ns) /
+        1e6;
     profile.recorded = g_next.load(std::memory_order_acquire);
+    profile.effective_hz = profile.cpu_ms > 0.0
+                               ? static_cast<double>(profile.recorded) /
+                                     (profile.cpu_ms / 1000.0)
+                               : 0.0;
     profile.wrapped =
         profile.recorded > g_capacity ? profile.recorded - g_capacity : 0;
     if (g_slots != nullptr) {
@@ -399,6 +418,8 @@ bool write_profile(const Profile& profile, const std::string& json_path,
                    const Provenance* provenance) {
   std::ostringstream out;
   out << "{\n  \"profile\": {\"sample_hz\": " << profile.sample_hz
+      << ", \"cpu_ms\": " << profile.cpu_ms
+      << ", \"effective_hz\": " << profile.effective_hz
       << ", \"samples\": " << profile.samples
       << ", \"recorded\": " << profile.recorded
       << ", \"wrapped\": " << profile.wrapped

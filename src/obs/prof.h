@@ -130,7 +130,14 @@ struct ProfileAlloc {
   std::uint64_t calls = 0;
 };
 struct Profile {
-  int sample_hz = 0;
+  int sample_hz = 0;              // the rate start() asked for
+  // Process CPU time across the window (CLOCK_PROCESS_CPUTIME_ID at start()
+  // and stop(), or now while running), and the rate the timer delivered:
+  // recorded ÷ CPU seconds. ITIMER_PROF expires only at a kernel tick, so
+  // effective_hz stays near the tick rate (CONFIG_HZ, often 250 Hz) whatever
+  // sample_hz asks above it; attribute samples by effective_hz.
+  double cpu_ms = 0.0;
+  double effective_hz = 0.0;
   std::uint64_t samples = 0;      // live ring slots aggregated
   std::uint64_t recorded = 0;     // total ever recorded this window
   std::uint64_t wrapped = 0;      // oldest samples overwritten (recorded - capacity)

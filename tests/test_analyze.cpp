@@ -331,6 +331,27 @@ TEST(Ingest, ProfileArtifactRoundTripsThroughWriteAndLoad) {
   EXPECT_EQ(line, "main;run;oracle 60");
 }
 
+TEST(Ingest, ProfileCarriesCpuTimeAndEffectiveRate) {
+  prof::Profile profile = test_profile(450);
+  profile.cpu_ms = 480.0;
+  profile.effective_hz = 250.0;  // 120 recorded / 0.48 CPU s
+  const auto path = (std::filesystem::path(::testing::TempDir()) /
+                     "prof_rate.json").string();
+  ASSERT_TRUE(prof::write_profile(profile, path, nullptr));
+  const Artifact artifact = load_artifact(path);
+  ASSERT_EQ(artifact.kind, ArtifactKind::kProfile);
+  EXPECT_EQ(artifact.profile.sample_hz, 997);
+  EXPECT_DOUBLE_EQ(artifact.profile.cpu_ms, 480.0);
+  EXPECT_DOUBLE_EQ(artifact.profile.effective_hz, 250.0);
+
+  const RunSummary summary = summarize(artifact);
+  ASSERT_NE(summary.find("cpu_ms"), nullptr);
+  EXPECT_DOUBLE_EQ(*summary.find("cpu_ms"), 480.0);
+  ASSERT_NE(summary.find("effective_hz"), nullptr);
+  EXPECT_DOUBLE_EQ(*summary.find("effective_hz"), 250.0);
+  EXPECT_DOUBLE_EQ(*summary.find("sample_hz"), 997.0);
+}
+
 TEST(CoolstatCli, ProfileDiffExitsNonzeroExactlyOnBandViolation) {
   // The acceptance contract: two captures inside the bands exit 0, a
   // violated band exits 1 even without the `check` gate.

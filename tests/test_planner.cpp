@@ -2,9 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "core/greedy.h"
+#include "core/passive_greedy.h"
+#include "energy/trace.h"
+#include "net/network.h"
 #include "submodular/detection.h"
+#include "util/rng.h"
 
 namespace cool::core {
 namespace {
@@ -80,6 +89,96 @@ TEST(Planner, Validation) {
   bad = {};
   bad.pattern_for = nullptr;
   EXPECT_THROW(WeatherAdaptivePlanner(detect(2, 0.4), bad), std::invalid_argument);
+}
+
+// plan_day against the reference schedulers on the gateway shape (n=200,
+// 40 targets, 140 m region, sensing 40 m, p=0.4): the schedule bytes and
+// the expected-utility bits must equal those of the plain scan
+// (GreedyScheduler) when rho > 1 and of PassiveGreedyScheduler otherwise,
+// on the same Problem.
+
+std::shared_ptr<const sub::SubmodularFunction> gateway_utility() {
+  net::NetworkConfig config;
+  config.sensor_count = 200;
+  config.target_count = 40;
+  config.region_side = 140.0;
+  config.sensing_radius = 40.0;
+  config.comm_radius = 45.0;
+  util::Rng rng(2011);
+  return Problem::detection_instance(net::make_random_network(config, rng), 0.4,
+                                     energy::ChargingPattern{}, 1)
+      .slot_utility_ptr();
+}
+
+void expect_reference_plan(
+    const std::shared_ptr<const sub::SubmodularFunction>& utility,
+    const DayPlan& plan, const std::string& what) {
+  ASSERT_GT(plan.periods, 0u) << what;
+  const Problem problem(utility, plan.slots_per_period, plan.periods,
+                        plan.rho_greater_than_one);
+  const PeriodicSchedule reference =
+      plan.rho_greater_than_one ? GreedyScheduler().schedule(problem).schedule
+                                : PassiveGreedyScheduler().schedule(problem).schedule;
+  EXPECT_TRUE(plan.schedule == reference) << what;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(plan.expected_average_utility),
+            std::bit_cast<std::uint64_t>(evaluate(problem, reference).per_slot_average))
+      << what;
+}
+
+TEST(PlanDayDifferential, WeatherPatternsMatchReferenceSchedulers) {
+  const auto utility = gateway_utility();
+  const WeatherAdaptivePlanner planner(utility);
+  for (const auto weather :
+       {energy::Weather::kSunny, energy::Weather::kPartlyCloudy,
+        energy::Weather::kOvercast, energy::Weather::kRain})
+    expect_reference_plan(utility, planner.plan_day(weather),
+                          energy::weather_name(weather));
+}
+
+// plan_day takes its pattern from a plain function pointer, as in the
+// gateway's month loop; the test sets the estimate through this slot.
+energy::ChargingPattern g_estimate;
+energy::ChargingPattern estimated_pattern(energy::Weather) { return g_estimate; }
+
+TEST(PlanDayDifferential, EstimatedPatternsMatchReferenceSchedulers) {
+  struct Case {
+    const char* what;
+    energy::Weather weather;
+    energy::TraceConfig trace;
+    double from_minute, to_minute;
+    bool rho_greater_than_one;
+  };
+  energy::TraceConfig cycling;
+  cycling.mode = energy::TraceConfig::Mode::kCycling;
+  // A large cell and a frugal node, estimated over the morning's first
+  // charge from empty: the battery refills faster than it drains.
+  energy::TraceConfig fast_charging = cycling;
+  fast_charging.cell.area_m2 = 0.05;
+  fast_charging.node.active_power_w = 0.1;
+  fast_charging.initial_soc = 0.0;
+  const std::vector<Case> cases = {
+      {"sunny estimate", energy::Weather::kSunny, cycling, 600.0, 720.0, true},
+      {"overcast estimate", energy::Weather::kOvercast, cycling, 600.0, 720.0, true},
+      {"fast-charging estimate", energy::Weather::kSunny, fast_charging, 240.0,
+       480.0, false},
+  };
+  const auto utility = gateway_utility();
+  PlannerConfig config;
+  config.pattern_for = &estimated_pattern;
+  const WeatherAdaptivePlanner planner(utility, config);
+  for (const Case& c : cases) {
+    std::vector<energy::ChargingTrace> traces;
+    for (int probe = 0; probe < 5; ++probe) {
+      util::Rng rng(100 + static_cast<std::uint64_t>(probe));
+      traces.push_back(
+          energy::generate_daily_trace(c.trace, c.weather, probe, 3, rng));
+    }
+    g_estimate = energy::estimate_fleet_pattern(traces, c.trace.node,
+                                                c.from_minute, c.to_minute);
+    const DayPlan plan = planner.plan_day(c.weather);
+    EXPECT_EQ(plan.rho_greater_than_one, c.rho_greater_than_one) << c.what;
+    expect_reference_plan(utility, plan, c.what);
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -130,6 +131,48 @@ TEST(ProfCpu, SamplerFillsRingAndCollectAggregates) {
     if (span.name == "prof-test-burn") burn_samples = span.samples;
   EXPECT_GE(burn_samples, 1u)
       << "samples taken inside the scope must carry its span";
+}
+
+std::int64_t process_cpu_ns() {
+  timespec now{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now);
+  return static_cast<std::int64_t>(now.tv_sec) * 1000000000 + now.tv_nsec;
+}
+
+// A CPU-bound loop: the profile's CPU time must cover the burn and fit
+// inside the start()..stop() window, and effective_hz must be the samples
+// recorded per CPU second, which the timer cannot push above the rate
+// asked for (it is the kernel tick wherever that is lower).
+TEST(ProfCpu, EffectiveRateIsRecordedSamplesOverCpuTime) {
+  ProfilerConfig config;
+  config.sample_hz = 997;
+  config.alloc = false;
+  const std::int64_t before = process_cpu_ns();
+  ASSERT_TRUE(start(config));
+  const std::int64_t burn_start = process_cpu_ns();
+  burn_until_samples(25);
+  const std::int64_t burn_end = process_cpu_ns();
+  ASSERT_TRUE(stop());
+  const std::int64_t after = process_cpu_ns();
+
+  const Profile profile = collect();
+  ASSERT_GE(profile.recorded, 25u) << "sampler never fired";
+  // In ns, with 1 us for the round trip through cpu_ms.
+  const double cpu_ns = profile.cpu_ms * 1e6;
+  EXPECT_GE(cpu_ns, static_cast<double>(burn_end - burn_start) - 1e3);
+  EXPECT_LE(cpu_ns, static_cast<double>(after - before) + 1e3);
+  EXPECT_DOUBLE_EQ(profile.effective_hz,
+                   static_cast<double>(profile.recorded) / (profile.cpu_ms / 1000.0));
+  EXPECT_LE(static_cast<double>(profile.recorded),
+            profile.cpu_ms / 1000.0 * config.sample_hz + 2.0);
+
+  const std::string json_path = ::testing::TempDir() + "prof-rate-test.json";
+  ASSERT_TRUE(write_profile(profile, json_path, nullptr));
+  const std::string json = read_file(json_path);
+  EXPECT_NE(json.find("\"cpu_ms\": "), std::string::npos);
+  EXPECT_NE(json.find("\"effective_hz\": "), std::string::npos);
+  std::remove(json_path.c_str());
+  std::remove(folded_path_for(json_path).c_str());
 }
 
 TEST(ProfCpu, WriteProfileEmitsJsonAndParseableFoldedSidecar) {
