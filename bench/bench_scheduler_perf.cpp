@@ -184,7 +184,8 @@ double best_of(std::size_t reps, Run&& run) {
 // serial/parallel ratio lands in *_par_speedup.
 int run_json_mode(const std::string& json_path, std::size_t n,
                   std::size_t reps, std::uint64_t seed, std::size_t threads,
-                  const cool::obs::Provenance& provenance) {
+                  const cool::obs::Provenance& provenance,
+                  cool::obs::ObsSession& obs) {
   const auto t0 = std::chrono::steady_clock::now();
   const auto problem = make_problem(n, n / 10 + 1, true, seed);
 
@@ -286,6 +287,10 @@ int run_json_mode(const std::string& json_path, std::size_t n,
     bench_name += "_t" + std::to_string(threads);
   }
 
+  // Write the session's outputs first: this record's timing digits vary in
+  // length, so writing it inside a --profile window would move the
+  // capture's allocation totals from run to run.
+  obs.flush();
   std::ofstream out(json_path);
   if (!out) {
     std::fprintf(stderr, "cannot open %s for writing\n", json_path.c_str());
@@ -434,7 +439,7 @@ int main(int argc, char** argv) {
   if (repair_shapes > 0) return run_repair_shapes(repair_shapes, seed);
   if (!json_path.empty())
     return run_json_mode(json_path, perf_n, perf_reps, seed, threads,
-                         provenance);
+                         provenance, obs);
 
   int filtered_argc = static_cast<int>(passthrough.size());
   benchmark::Initialize(&filtered_argc, passthrough.data());

@@ -1,5 +1,5 @@
 // Service-engine throughput: sustained request rate through the full coold
-// stack — admission queue, batching onto the work-stealing pool, the
+// stack — admission queue, batching onto the shared pool, the
 // degradation ladder, WAL appends — everything except the socket transport.
 //
 //   ./bench_service_throughput [--networks 12] [--requests 240]

@@ -24,9 +24,14 @@ if [ "${mode}" = "tsan" ]; then
   cmake -B "${build_dir}" -S "${repo_root}" -DCMAKE_BUILD_TYPE=Tsan
   cmake --build "${build_dir}" -j "$(nproc)"
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
-  # Run the parallel-engine suites across several pool widths: the pool,
-  # the batched-oracle consumers, and the determinism tests all spin real
-  # worker threads, which is what TSan needs to see.
+  # Run the parallel-engine suites at two widths. COOL_THREADS=N runs a
+  # batch on N threads: N - 1 pool workers plus the calling thread, all
+  # claiming task indices from one shared counter, so at 2 the caller races
+  # one worker and at 4 three. The pool's own suite (Parallel) also sets
+  # widths 2-5 itself: a rendezvous that the caller must join, exceptions
+  # and nested calls from the caller's task, and back-to-back batches of
+  # 2-64 tasks aimed at a worker still inside the batch the caller is
+  # returning from.
   cd "${build_dir}"
   # Svc covers the coold service suites (queue, service engine, recovery):
   # the admission queue, worker thread, pool-batched planners and the

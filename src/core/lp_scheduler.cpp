@@ -133,37 +133,35 @@ LpScheduleResult LpScheduler::schedule(
   const std::size_t rounds = options_.rounding_rounds;
   std::vector<PeriodicSchedule> candidates(rounds, PeriodicSchedule(n, T));
   std::vector<double> round_value(rounds, -1.0);
-  util::parallel_for(rounds, /*grain=*/1, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t round = begin; round < end; ++round) {
-      util::Rng round_rng = rng.fork(round);
-      PeriodicSchedule& candidate = candidates[round];
-      std::vector<double> weights(T, 0.0);
-      for (std::size_t v = 0; v < n; ++v) {
-        double total = 0.0;
-        for (std::size_t t = 0; t < T; ++t) {
-          const double xv = std::max(0.0, solution.x[v * T + t]);
-          weights[t] = rho_gt_one ? xv : std::max(0.0, 1.0 - xv);
-          total += weights[t];
-        }
-        std::size_t chosen;
-        if (total <= 1e-12) {
-          // No mass (degenerate LP row): any slot is as good; spread evenly.
-          chosen = static_cast<std::size_t>(
-              round_rng.uniform_int(0, static_cast<std::int64_t>(T) - 1));
-        } else {
-          chosen = round_rng.weighted_index(weights);
-        }
-        if (rho_gt_one) {
-          candidate.set_active(v, chosen);
-        } else {
-          for (std::size_t t = 0; t < T; ++t)
-            if (t != chosen) candidate.set_active(v, t);
-        }
+  util::parallel_chunks(rounds, [&](std::size_t round) {
+    util::Rng round_rng = rng.fork(round);
+    PeriodicSchedule& candidate = candidates[round];
+    std::vector<double> weights(T, 0.0);
+    for (std::size_t v = 0; v < n; ++v) {
+      double total = 0.0;
+      for (std::size_t t = 0; t < T; ++t) {
+        const double xv = std::max(0.0, solution.x[v * T + t]);
+        weights[t] = rho_gt_one ? xv : std::max(0.0, 1.0 - xv);
+        total += weights[t];
       }
-      const Evaluation eval = evaluate(problem, candidate);
-      round_value[round] =
-          eval.total_utility / static_cast<double>(problem.periods());
+      std::size_t chosen;
+      if (total <= 1e-12) {
+        // No mass (degenerate LP row): any slot is as good; spread evenly.
+        chosen = static_cast<std::size_t>(
+            round_rng.uniform_int(0, static_cast<std::int64_t>(T) - 1));
+      } else {
+        chosen = round_rng.weighted_index(weights);
+      }
+      if (rho_gt_one) {
+        candidate.set_active(v, chosen);
+      } else {
+        for (std::size_t t = 0; t < T; ++t)
+          if (t != chosen) candidate.set_active(v, t);
+      }
     }
+    const Evaluation eval = evaluate(problem, candidate);
+    round_value[round] =
+        eval.total_utility / static_cast<double>(problem.periods());
   });
   result.rounds_drawn = rounds;
   double best_value = -1.0;

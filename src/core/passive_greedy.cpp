@@ -1,5 +1,6 @@
 #include "core/passive_greedy.h"
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -53,10 +54,10 @@ PassiveGreedyResult PassiveGreedyScheduler::schedule(const Problem& problem) con
   // refresh exactly the stale (sensor, slot) losses in their range — the
   // same evaluations the serial scan performs — and counters are folded in
   // chunk order, so oracle_calls is exact at every thread count.
-  const auto chunks = util::chunk_ranges(n, kScanGrain);
+  const std::size_t chunk_count = (n + kScanGrain - 1) / kScanGrain;
   std::vector<std::unique_ptr<sub::EvalState>> chunk_state;
-  chunk_state.reserve(chunks.size());
-  for (std::size_t c = 0; c < chunks.size(); ++c)
+  chunk_state.reserve(chunk_count);
+  for (std::size_t c = 0; c < chunk_count; ++c)
     chunk_state.push_back(problem.slot_utility().make_state());
   const auto base_state_ptr = problem.slot_utility().make_state();
   sub::EvalState& base_state = *base_state_ptr;
@@ -77,14 +78,15 @@ PassiveGreedyResult PassiveGreedyScheduler::schedule(const Problem& problem) con
     std::size_t slot;
     std::size_t oracle_calls = 0;
   };
-  std::vector<ChunkMin> chunk_min(chunks.size());
+  std::vector<ChunkMin> chunk_min(chunk_count);
 
   std::vector<std::uint8_t> assigned(n, 0);
   for (std::size_t step = 0; step < n; ++step) {
-    util::parallel_chunks(chunks.size(), [&](std::size_t c) {
+    util::parallel_chunks(chunk_count, [&](std::size_t c) {
       ChunkMin local{std::numeric_limits<double>::infinity(), n, T, 0};
       sub::EvalState& state = *chunk_state[c];
-      for (std::size_t v = chunks[c].begin; v < chunks[c].end; ++v) {
+      const std::size_t end = std::min(n, (c + 1) * kScanGrain);
+      for (std::size_t v = c * kScanGrain; v < end; ++v) {
         if (assigned[v]) continue;
         for (std::size_t t = 0; t < T; ++t) {
           if (!loss_fresh[v][t]) {

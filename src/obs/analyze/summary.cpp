@@ -4,6 +4,8 @@
 #include <cmath>
 #include <map>
 
+#include "util/stats.h"
+
 namespace cool::obs::analyze {
 
 namespace {
@@ -57,9 +59,13 @@ void summarize_timeline(const TimelineData& data, RunSummary& summary) {
   put(summary, "brownout_declines", static_cast<double>(declines));
   put(summary, "repairs", static_cast<double>(repairs));
   put(summary, "repair_moves", static_cast<double>(moves));
-  put(summary, "repair_p50_us", exact_quantile(repair_latency, 0.50));
-  put(summary, "repair_p95_us", exact_quantile(repair_latency, 0.95));
-  put(summary, "repair_max_us", exact_quantile(repair_latency, 1.0));
+  // 0 when no slot repaired (util::percentile rejects an empty sample).
+  const auto repair_quantile = [&](double q) {
+    return repair_latency.empty() ? 0.0 : util::percentile(repair_latency, q);
+  };
+  put(summary, "repair_p50_us", repair_quantile(0.50));
+  put(summary, "repair_p95_us", repair_quantile(0.95));
+  put(summary, "repair_max_us", repair_quantile(1.0));
   put(summary, "replans", static_cast<double>(replans));
   put(summary, "control_messages", static_cast<double>(control));
   put(summary, "radio_energy_j", radio_j);
@@ -210,17 +216,6 @@ const double* RunSummary::find(const std::string& name) const {
   for (const auto& [key, value] : metrics)
     if (key == name) return &value;
   return nullptr;
-}
-
-double exact_quantile(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  q = std::clamp(q, 0.0, 1.0);
-  const double position = q * static_cast<double>(samples.size() - 1);
-  const auto lo = static_cast<std::size_t>(position);
-  const std::size_t hi = std::min(lo + 1, samples.size() - 1);
-  const double frac = position - static_cast<double>(lo);
-  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
 }
 
 std::vector<SpanRollup> rollup_spans(const std::vector<TraceEvent>& events) {

@@ -33,10 +33,6 @@ struct RunSummary {
 
 RunSummary summarize(const Artifact& artifact);
 
-// Exact quantile of a sample vector (linear interpolation between order
-// statistics, q in [0,1]); 0 on empty input. Exposed for tests.
-double exact_quantile(std::vector<double> samples, double q);
-
 // Per-span wall-clock rollup from complete ('X') events: total duration,
 // self time (total minus child spans, by time containment per tid), and
 // call count. Exposed for tests.

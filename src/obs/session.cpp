@@ -94,10 +94,10 @@ void ObsSession::flush() {
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                 start_)
           .count();
-  const std::string stamp = provenance_.to_json();
   if (!profile_path_.empty()) {
-    // Stop first so the aggregation/symbolization work below is not billed
-    // to the profile, then write the JSON + .folded pair.
+    // Stop first so the aggregation/symbolization work below, and the
+    // provenance stamp whose wall_ms digits vary in length, are not billed
+    // to the profile; then write the JSON + .folded pair.
     const std::string path = std::move(profile_path_);
     profile_path_.clear();
     if (profiler_started_) {
@@ -110,6 +110,7 @@ void ObsSession::flush() {
                      prof::folded_path_for(path) + ")");
     }
   }
+  const std::string stamp = provenance_.to_json();
   if (collector_) {
     set_trace_collector(nullptr);
     const std::string path = std::move(trace_path_);

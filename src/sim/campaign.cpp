@@ -77,54 +77,51 @@ CampaignReport CampaignRunner::run() const {
   report.days.resize(config_.days);
   std::vector<double> day_utility(config_.days, 0.0);
 
-  util::parallel_for(config_.days, /*grain=*/1, [&](std::size_t begin,
-                                                    std::size_t end) {
-    for (std::size_t day = begin; day < end; ++day) {
-      const auto plan = planner.plan_day(day_weather[day]);
-      CampaignDay& row = report.days[day];
-      row.day = day;
-      row.weather = plan.weather;
-      row.rho = plan.pattern.rho();
+  util::parallel_chunks(config_.days, [&](std::size_t day) {
+    const auto plan = planner.plan_day(day_weather[day]);
+    CampaignDay& row = report.days[day];
+    row.day = day;
+    row.weather = plan.weather;
+    row.rho = plan.pattern.rho();
 
-      if (plan.periods == 0) continue;  // unusable day
+    if (plan.periods == 0) return;  // unusable day
 
-      core::PeriodicSchedule schedule = plan.schedule;
-      if (config_.dissemination) {
-        const proto::ScheduleDissemination dissemination(*network_, *tree,
-                                                         *links, radio);
-        util::Rng proto_rng = rng_.fork(1000 + day);
-        const auto delivery = dissemination.disseminate(schedule, proto_rng);
-        row.assignments_delivered = delivery.nodes_delivered;
-        row.assignments_targeted = delivery.nodes_targeted;
-        schedule =
-            proto::ScheduleDissemination::effective_schedule(schedule, delivery);
-      }
-
-      SimConfig sim_config;
-      sim_config.backend = config_.backend;
-      sim_config.days = 1;
-      sim_config.slots_per_day = plan.slots_per_period * plan.periods;
-      sim_config.slot_minutes = plan.pattern.slot_minutes();
-      sim_config.pattern = plan.pattern;
-      sim_config.initial_weather = plan.weather;
-      sim_config.failure_rate_per_slot = config_.failure_rate_per_slot;
-      sim_config.repair_slots = config_.repair_slots;
-
-      std::unique_ptr<ActivationPolicy> policy;
-      if (config_.repair_policy) {
-        policy = std::make_unique<ScheduleRepairPolicy>(schedule, utility_);
-      } else {
-        policy = std::make_unique<SchedulePolicy>(schedule);
-      }
-      Simulator simulator(utility_, sim_config, rng_.fork(2000 + day));
-      const auto result = simulator.run(*policy);
-
-      row.slots = result.slots_simulated;
-      row.average_utility = result.average_utility_per_slot;
-      row.energy_violations = result.energy_violations;
-      row.failures = result.failures_injected;
-      day_utility[day] = result.total_utility;
+    core::PeriodicSchedule schedule = plan.schedule;
+    if (config_.dissemination) {
+      const proto::ScheduleDissemination dissemination(*network_, *tree,
+                                                       *links, radio);
+      util::Rng proto_rng = rng_.fork(1000 + day);
+      const auto delivery = dissemination.disseminate(schedule, proto_rng);
+      row.assignments_delivered = delivery.nodes_delivered;
+      row.assignments_targeted = delivery.nodes_targeted;
+      schedule =
+          proto::ScheduleDissemination::effective_schedule(schedule, delivery);
     }
+
+    SimConfig sim_config;
+    sim_config.backend = config_.backend;
+    sim_config.days = 1;
+    sim_config.slots_per_day = plan.slots_per_period * plan.periods;
+    sim_config.slot_minutes = plan.pattern.slot_minutes();
+    sim_config.pattern = plan.pattern;
+    sim_config.initial_weather = plan.weather;
+    sim_config.failure_rate_per_slot = config_.failure_rate_per_slot;
+    sim_config.repair_slots = config_.repair_slots;
+
+    std::unique_ptr<ActivationPolicy> policy;
+    if (config_.repair_policy) {
+      policy = std::make_unique<ScheduleRepairPolicy>(schedule, utility_);
+    } else {
+      policy = std::make_unique<SchedulePolicy>(schedule);
+    }
+    Simulator simulator(utility_, sim_config, rng_.fork(2000 + day));
+    const auto result = simulator.run(*policy);
+
+    row.slots = result.slots_simulated;
+    row.average_utility = result.average_utility_per_slot;
+    row.energy_violations = result.energy_violations;
+    row.failures = result.failures_injected;
+    day_utility[day] = result.total_utility;
   });
 
   double utility_sum = 0.0;
@@ -148,18 +145,15 @@ std::vector<CampaignReport> CampaignRunner::run_trials(
     throw std::invalid_argument("CampaignRunner::run_trials: zero trials");
   // Each trial is a full campaign under a decorrelated RNG stream (child
   // 3000 + trial of this runner's generator). Trials fan out across the
-  // pool; a trial's inner day fan-out then runs inline on the worker, so
-  // nesting stays deadlock-free and results match the serial order.
+  // pool; a trial's inner day fan-out then runs inline on the thread that
+  // runs the trial, so nesting stays deadlock-free and results match the
+  // serial order.
   std::vector<CampaignReport> reports(trials);
-  util::parallel_for(trials, /*grain=*/1,
-                     [&](std::size_t begin, std::size_t end) {
-                       for (std::size_t trial = begin; trial < end; ++trial) {
-                         const CampaignRunner trial_runner(
-                             *network_, utility_, config_,
-                             rng_.fork(3000 + trial));
-                         reports[trial] = trial_runner.run();
-                       }
-                     });
+  util::parallel_chunks(trials, [&](std::size_t trial) {
+    const CampaignRunner trial_runner(*network_, utility_, config_,
+                                      rng_.fork(3000 + trial));
+    reports[trial] = trial_runner.run();
+  });
   return reports;
 }
 

@@ -484,17 +484,14 @@ void CooldService::process_batch(std::vector<Ticket>&& batch) {
   }
 
   // Phase B — parallel planning over disjoint sessions (pop_batch admits at
-  // most one ticket per network). Runs on the shared work-stealing pool.
+  // most one ticket per network). Runs on the shared pool, this worker
+  // thread included; a single plan runs inline.
   std::vector<std::size_t> runnable;
   for (std::size_t i = 0; i < jobs.size(); ++i)
     if (!jobs[i].finished && jobs[i].session) runnable.push_back(i);
-  if (runnable.size() == 1) {
-    execute_plan(jobs[runnable[0]]);
-  } else if (!runnable.empty()) {
-    util::parallel_chunks(runnable.size(), [&](std::size_t c) {
-      execute_plan(jobs[runnable[c]]);
-    });
-  }
+  util::parallel_chunks(runnable.size(), [&](std::size_t c) {
+    execute_plan(jobs[runnable[c]]);
+  });
 
   // Phase C — serial, admission order: LSNs, WAL, one fsync, then acks.
   std::size_t appended = 0;

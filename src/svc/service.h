@@ -8,8 +8,9 @@
 //     All cache mutation happens here, in a deterministic order — batched
 //     execution is observationally identical to serial execution.
 //   Phase B (parallel)  plan. pop_batch() guarantees one ticket per
-//     network, so the jobs touch disjoint sessions; they run on the PR 5
-//     work-stealing pool. Each job walks the degradation ladder:
+//     network, so the jobs touch disjoint sessions; they run on the
+//     shared pool (util/parallel.h), the worker thread included. Each job
+//     walks the degradation ladder:
 //         level 0  lazy greedy   (exact Algorithm 1, the fastest planner)
 //         level 1  lazy greedy   (kept so logged and pinned level-1
 //                                 requests replay)

@@ -133,15 +133,6 @@ TEST(Ingest, DetectKindSniffsContentNotJustExtension) {
 
 // --- summaries ------------------------------------------------------------
 
-TEST(Summary, ExactQuantileInterpolatesOrderStatistics) {
-  EXPECT_DOUBLE_EQ(exact_quantile({}, 0.5), 0.0);
-  EXPECT_DOUBLE_EQ(exact_quantile({7.0}, 0.95), 7.0);
-  EXPECT_DOUBLE_EQ(exact_quantile({4.0, 1.0, 3.0, 2.0}, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(exact_quantile({4.0, 1.0, 3.0, 2.0}, 1.0), 4.0);
-  EXPECT_DOUBLE_EQ(exact_quantile({4.0, 1.0, 3.0, 2.0}, 0.5), 2.5);
-  EXPECT_DOUBLE_EQ(exact_quantile({1.0, 2.0, 3.0, 4.0}, 0.25), 1.75);
-}
-
 TEST(Summary, SpanRollupChargesChildTimeToParentSelf) {
   std::vector<TraceEvent> events;
   TraceEvent outer;
@@ -189,6 +180,27 @@ TEST(Summary, TimelineSummaryHasUtilityAndRepairLatency) {
   EXPECT_DOUBLE_EQ(*summary.find("repairs"), 1.0);
   EXPECT_DOUBLE_EQ(*summary.find("repair_p50_us"), 200.0);
   EXPECT_DOUBLE_EQ(*summary.find("repair_max_us"), 200.0);
+
+  // A timeline without a repair reports 0 for every repair quantile.
+  std::ostringstream quiet_jsonl;
+  TimelineSink quiet_sink(quiet_jsonl);
+  quiet_sink.write_header(test_provenance());
+  for (std::size_t slot = 0; slot < 3; ++slot) {
+    SlotRecord r;
+    r.slot = slot;
+    r.utility = 1.0;
+    r.live = 10;
+    quiet_sink.record(r);
+  }
+  Artifact quiet;
+  quiet.kind = ArtifactKind::kTimeline;
+  quiet.timeline = parse_timeline(quiet_jsonl.str());
+  const auto quiet_summary = summarize(quiet);
+  ASSERT_NE(quiet_summary.find("repair_p50_us"), nullptr);
+  EXPECT_DOUBLE_EQ(*quiet_summary.find("repairs"), 0.0);
+  EXPECT_DOUBLE_EQ(*quiet_summary.find("repair_p50_us"), 0.0);
+  EXPECT_DOUBLE_EQ(*quiet_summary.find("repair_p95_us"), 0.0);
+  EXPECT_DOUBLE_EQ(*quiet_summary.find("repair_max_us"), 0.0);
 }
 
 // --- diff and the regression gate -----------------------------------------

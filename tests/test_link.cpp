@@ -176,8 +176,8 @@ TEST(LinkModel, TreeEdgeProbabilitiesMatchTheirDraws) {
   EXPECT_GT(edges, 0u);
 }
 
-// Campaign days share one model across pool workers, so the first call may
-// come from several threads at once.
+// Campaign days share one model across the pool's threads, so the first
+// call may come from several threads at once.
 TEST(LinkModel, ConcurrentFirstCallsAgree) {
   const auto network = mixed_radius_network(150, 5);
   const LinkModelConfig config;

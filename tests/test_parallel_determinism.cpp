@@ -114,7 +114,8 @@ TEST_F(ParallelDeterminism, StochasticGreedyScheduler) {
 }
 
 TEST_F(ParallelDeterminism, PassiveGreedyScheduler) {
-  for (const std::size_t n : {7u, 30u}) {
+  // n = 65 scans five 16-sensor chunks, the last holding one sensor.
+  for (const std::size_t n : {7u, 30u, 65u}) {
     const auto problem = make_problem(n, false);
     expect_identical_across_threads([&] {
       return outcome(problem, core::PassiveGreedyScheduler().schedule(problem));
@@ -175,7 +176,7 @@ TEST_F(ParallelDeterminism, ReusedEvaluatorMatchesOneShot) {
 // stochastic greedy and the evaluator run on the calling thread at any
 // thread count. The pool counts every task it is handed, so a planner that
 // forks shows up as a moving counter; passive greedy's chunked loss scan and
-// a direct parallel_for are the positive controls.
+// a direct parallel_chunks are the positive controls.
 TEST_F(ParallelDeterminism, PlanningAndEvaluationNeverFork) {
   if (!COOL_OBS_ENABLED) GTEST_SKIP() << "obs compiled out";
   util::set_thread_count(4);
@@ -207,10 +208,7 @@ TEST_F(ParallelDeterminism, PlanningAndEvaluationNeverFork) {
   const auto passive = make_problem(40, false);
   EXPECT_GT(forks([&] { core::PassiveGreedyScheduler().schedule(passive); }),
             0u);
-  EXPECT_GT(forks([&] {
-              util::parallel_for(8, 1, [](std::size_t, std::size_t) {});
-            }),
-            0u);
+  EXPECT_GT(forks([&] { util::parallel_chunks(8, [](std::size_t) {}); }), 0u);
 }
 
 TEST_F(ParallelDeterminism, CampaignDayFanOut) {

@@ -20,7 +20,9 @@
 //   --crit-watermark X    pressure to start at the floor (default 0.85)
 //   --snapshot-every N    WAL entries between snapshots  (default 64)
 //   --no-fsync            skip fsync (benchmarks only — crash safety off)
-//   --threads N           planner pool size (0 = auto)
+//   --threads N           threads that plan one batch, the service worker
+//                         included: N − 1 pool workers plan beside it
+//                         (0 = auto: COOL_THREADS, else the core count)
 //   --obs on|off          introspection plane kill switch (default on; the
 //                         COOL_OBS_ENABLED env var sets the default, the
 //                         flag wins). Off = no flight recorder, no spans,
