@@ -183,8 +183,11 @@ int main(int argc, char** argv) {
     config.pattern = pattern;
     config.slots_per_day = problem.horizon_slots();
     config.days = days;
-    config.failure_rate_per_slot = rate;
-    config.repair_slots = 8;
+    if (rate > 0.0) {
+      config.faults.kind = cool::sim::FaultKind::kTransient;
+      config.faults.failure_rate_per_slot = rate;
+      config.faults.repair_slots = 8;
+    }
 
     cool::sim::SchedulePolicy offline(schedule);
     cool::sim::Simulator sim_a(utility, config, cool::util::Rng(seed + 1));

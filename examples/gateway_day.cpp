@@ -112,7 +112,8 @@ int main(int argc, char** argv) try {
   sim_config.slot_minutes = pattern.slot_minutes();
   sim_config.pattern = pattern;
   sim_config.initial_weather = today;
-  sim_config.failure_rate_per_slot = 0.01;
+  sim_config.faults.kind = cool::sim::FaultKind::kTransient;
+  sim_config.faults.failure_rate_per_slot = 0.01;
   cool::sim::SchedulePolicy policy(effective);
   cool::sim::Simulator simulator(problem.slot_utility_ptr(), sim_config,
                                  cool::util::Rng(seed + 3));

@@ -47,8 +47,9 @@ if [ "${mode}" = "tsan" ]; then
   # suite of the detection oracle's CSR state against its reference
   # (sub::reference_detection). Repair covers the move-scorer differential
   # suite the svc worker reaches on every repair; Network covers the lazily
-  # built neighbour lists, whose first use may race across campaign days,
-  # and Link the link model's lazily built edge table, shared the same way.
+  # built neighbour lists, whose first use may race across campaign days.
+  # Link covers the link model, which campaign days read from the pool's
+  # threads at once through one shared instance.
   # TraceGolden runs probe traces on four threads at once against the
   # per-thread clear-sky memo of energy/trace.cpp.
   default_filter='Parallel|BatchEval|Greedy|LazyGreedy|StochasticGreedy|PassiveGreedy|Evaluator|LpScheduler|Campaign|Backoff|LossyCollection|DeliveredCoverage|Svc|StateReuse|Flight|Introspect|MetricsRegistryThreads|LogConcurrency|Prof|Arena|DetectionReference|FusedScan|Repair|Network|Link|TraceGolden'

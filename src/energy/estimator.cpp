@@ -1,105 +1,21 @@
 #include "energy/estimator.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 namespace cool::energy {
 
-StreamingQuantile::StreamingQuantile(double q) : q_(q) {
-  if (!(q > 0.0 && q < 1.0))
-    throw std::invalid_argument("StreamingQuantile: q outside (0, 1)");
-  for (int i = 0; i < 5; ++i) {
-    height_[i] = 0.0;
-    position_[i] = static_cast<double>(i + 1);
-  }
-  desired_[0] = 1.0;
-  desired_[1] = 1.0 + 2.0 * q;
-  desired_[2] = 1.0 + 4.0 * q;
-  desired_[3] = 3.0 + 2.0 * q;
-  desired_[4] = 5.0;
-  rate_[0] = 0.0;
-  rate_[1] = q / 2.0;
-  rate_[2] = q;
-  rate_[3] = (1.0 + q) / 2.0;
-  rate_[4] = 1.0;
-}
-
-void StreamingQuantile::add(double x) {
-  ++count_;
-  if (count_ <= 5) {
-    height_[count_ - 1] = x;
-    std::sort(height_, height_ + count_);
-    return;
-  }
-
-  // Locate the cell containing x, adjusting the extreme markers.
-  int k;
-  if (x < height_[0]) {
-    height_[0] = x;
-    k = 0;
-  } else if (x >= height_[4]) {
-    height_[4] = x;
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && x >= height_[k + 1]) ++k;
-  }
-  for (int i = k + 1; i < 5; ++i) position_[i] += 1.0;
-  for (int i = 0; i < 5; ++i) desired_[i] += rate_[i];
-
-  // Nudge the three interior markers toward their desired positions with a
-  // piecewise-parabolic height prediction, falling back to linear when the
-  // parabola would break monotonicity.
-  for (int i = 1; i <= 3; ++i) {
-    const double d = desired_[i] - position_[i];
-    if ((d >= 1.0 && position_[i + 1] - position_[i] > 1.0) ||
-        (d <= -1.0 && position_[i - 1] - position_[i] < -1.0)) {
-      const double sign = d >= 0.0 ? 1.0 : -1.0;
-      const double np = position_[i + 1], pp = position_[i - 1], cp = position_[i];
-      const double nh = height_[i + 1], ph = height_[i - 1], ch = height_[i];
-      double candidate =
-          ch + sign / (np - pp) *
-                   ((cp - pp + sign) * (nh - ch) / (np - cp) +
-                    (np - cp - sign) * (ch - ph) / (cp - pp));
-      if (candidate <= ph || candidate >= nh) {
-        // Linear step toward the neighbor on the movement side.
-        const int j = sign > 0.0 ? i + 1 : i - 1;
-        candidate = ch + sign * (height_[j] - ch) / (position_[j] - cp);
-      }
-      height_[i] = candidate;
-      position_[i] += sign;
-    }
-  }
-}
-
-double StreamingQuantile::value() const noexcept {
-  if (count_ == 0) return 0.0;
-  if (count_ <= 5) {
-    // Exact percentile by nearest-rank interpolation on the sorted buffer.
-    const double rank = q_ * static_cast<double>(count_ - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min<std::size_t>(lo + 1, count_ - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return height_[lo] + frac * (height_[hi] - height_[lo]);
-  }
-  return height_[2];
-}
-
 void validate_estimator_config(const RhoEstimatorConfig& config) {
   if (!(config.ewma_alpha > 0.0 && config.ewma_alpha <= 1.0))
     throw std::invalid_argument(
         "RhoEstimatorConfig: ewma_alpha outside (0, 1]");
-  if (!(config.quantile > 0.0 && config.quantile < 1.0))
-    throw std::invalid_argument("RhoEstimatorConfig: quantile outside (0, 1)");
   if (config.drift_threshold <= 0.0)
     throw std::invalid_argument("RhoEstimatorConfig: drift_threshold <= 0");
 }
 
 RhoPrimeEstimator::RhoPrimeEstimator(std::size_t node_count, double planned_rho,
                                      const RhoEstimatorConfig& config)
-    : config_(config), planned_rho_(planned_rho), nodes_(node_count),
-      recharge_q_(config.quantile) {
+    : config_(config), planned_rho_(planned_rho), nodes_(node_count) {
   if (node_count == 0)
     throw std::invalid_argument("RhoPrimeEstimator: zero nodes");
   if (planned_rho <= 0.0)
@@ -123,7 +39,6 @@ void RhoPrimeEstimator::record_recharge(std::size_t node, double duration) {
   ++state.recharge_samples;
   ewma(fleet_recharge_mean_, recharge_samples_, duration);
   ++recharge_samples_;
-  recharge_q_.add(duration);
 }
 
 void RhoPrimeEstimator::record_discharge(std::size_t node, double duration) {

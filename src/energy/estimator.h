@@ -8,7 +8,7 @@
 // per-node recharge and discharge durations (piggybacked on heartbeats in a
 // deployment; fed directly by the simulator here), maintains
 //   * per-node EWMA means (fast, O(1), tracks heterogeneous shading),
-//   * fleet-level streaming q-quantiles (P² — no sample buffer), and
+//   * fleet-level EWMA means over all samples in arrival order, and
 //   * a drift detector that flags when the fleet ρ̂′ departs from the
 //     planned ρ by more than a relative threshold,
 // and hands the adaptive replanner (sim/runtime) per-node availability
@@ -21,33 +21,9 @@
 
 namespace cool::energy {
 
-// Streaming quantile via the P² algorithm (Jain & Chlamtac, CACM 1985):
-// five markers, O(1) memory, no resampling. Exact (sorted buffer) until the
-// fifth observation.
-class StreamingQuantile {
- public:
-  // q in (0, 1).
-  explicit StreamingQuantile(double q);
-
-  void add(double x);
-  std::size_t count() const noexcept { return count_; }
-  // Current estimate; 0 before any observation.
-  double value() const noexcept;
-
- private:
-  double q_;
-  std::size_t count_ = 0;
-  double height_[5];    // marker heights (ascending)
-  double position_[5];  // actual marker positions (1-based)
-  double desired_[5];   // desired marker positions
-  double rate_[5];      // desired-position increments per observation
-};
-
 struct RhoEstimatorConfig {
   // EWMA weight of the newest sample (0 < alpha <= 1).
   double ewma_alpha = 0.25;
-  // Fleet quantile tracked for the chance-constrained replan margin.
-  double quantile = 0.9;
   // Relative departure |ρ̂′/ρ − 1| that arms the drift flag.
   double drift_threshold = 0.25;
   // Recharge + discharge samples (fleet-wide, each kind) required before
@@ -94,9 +70,6 @@ class RhoPrimeEstimator {
   std::size_t discharge_samples() const noexcept { return discharge_samples_; }
   // Fleet ρ̂′; the planned ρ until both kinds have samples.
   double fleet_rho() const;
-  // Streaming q-quantile of fleet recharge durations (the margin the
-  // chance-constrained replan budgets from); 0 before any sample.
-  double recharge_quantile() const noexcept { return recharge_q_.value(); }
 
   // Signed relative departure of the fleet ρ̂′ from plan: ρ̂′/ρ − 1.
   // 0 until min_samples of each kind have been seen.
@@ -121,7 +94,6 @@ class RhoPrimeEstimator {
   double fleet_discharge_mean_ = 0.0;
   std::size_t recharge_samples_ = 0;
   std::size_t discharge_samples_ = 0;
-  StreamingQuantile recharge_q_;
 };
 
 }  // namespace cool::energy

@@ -11,11 +11,7 @@
 // benchmark client (perfbench/gateway_month.cpp), its last user.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <memory>
-#include <mutex>
-#include <span>
 #include <vector>
 
 #include "net/network.h"
@@ -35,15 +31,9 @@ class LinkModel {
  public:
   LinkModel(const Network& network, const LinkModelConfig& config = {});
 
-  // Delivery probability of one transmission a -> b; 0 when not neighbours.
+  // Delivery probability of one transmission a -> b: 1 from a node to
+  // itself, 0 when not neighbours, the distance model otherwise.
   double delivery_probability(std::size_t from, std::size_t to) const;
-
-  // Delivery probabilities of `from`'s edges, aligned with
-  // network.neighbors(from). The first call of this or of
-  // delivery_probability builds the table of every directed edge; later
-  // calls look it up. Safe to call concurrently; copies of a model share
-  // the table.
-  std::span<const double> edge_probabilities(std::size_t from) const;
 
   // Samples one transmission attempt.
   bool try_deliver(std::size_t from, std::size_t to, util::Rng& rng) const {
@@ -52,29 +42,19 @@ class LinkModel {
 
   // Delivery probabilities of the tree's edges, indexed by the child v:
   // uplink v -> parent(v), downlink parent(v) -> v; 0 for the sink and for
-  // nodes outside its component. A loop that draws only tree edges looks
-  // them up once here; rng.bernoulli(uplink[v]) is try_deliver(v, parent).
+  // nodes outside its component. The protocols read these once at
+  // construction; rng.bernoulli(uplink[v]) is try_deliver(v, parent).
   std::vector<double> uplink_probabilities(const RoutingTree& tree) const;
   std::vector<double> downlink_probabilities(const RoutingTree& tree) const;
 
   const LinkModelConfig& config() const noexcept { return config_; }
 
  private:
-  // Probability of the edge a -> neighbors(a)[k] at by_edge[start[a] + k].
-  // `ready` turns true once the table is built, so lookups after the first
-  // skip call_once's per-call bookkeeping.
-  struct EdgeTable {
-    std::once_flag built;
-    std::atomic<bool> ready{false};
-    std::vector<std::size_t> start;
-    std::vector<double> by_edge;
-  };
-
+  // The probability of one directed edge of the comm graph.
   double distance_model(std::size_t from, std::size_t to) const;
 
   const Network* network_;
   LinkModelConfig config_;
-  std::shared_ptr<EdgeTable> table_ = std::make_shared<EdgeTable>();
 };
 
 }  // namespace cool::net

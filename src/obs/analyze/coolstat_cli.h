@@ -12,8 +12,9 @@
 // (repeatable; name may use a '*' prefix/suffix wildcard, negative pct
 // exempts), --abs-epsilon <x>. `check` also accepts
 // --require-provenance to make a provenance mismatch fatal instead of a
-// warning. Artifacts are format-sniffed: timeline JSONL, metrics CSV/JSON,
-// Chrome trace, bench JSON, or merged suite.
+// warning. Artifacts are format-sniffed: metrics CSV/JSON, Chrome trace,
+// flight dump JSONL, profile JSON, bench JSON, or merged suite; anything
+// else is rejected as "unrecognized artifact format".
 //
 // Exit codes: 0 success (diff: report printed, any deltas), 1 check found
 // violations, 2 usage or I/O error.

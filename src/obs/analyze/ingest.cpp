@@ -23,32 +23,6 @@ std::size_t size_or(const JsonValue& object, const std::string& key) {
   return x > 0.0 ? static_cast<std::size_t>(x) : 0;
 }
 
-SlotRecord slot_from_json(const JsonValue& doc) {
-  SlotRecord r;
-  r.slot = size_or(doc, "slot");
-  r.utility = num_or(doc, "utility", 0.0);
-  r.active = size_or(doc, "active");
-  r.live = size_or(doc, "live");
-  r.believed_dead = size_or(doc, "believed_dead");
-  r.suspected = size_or(doc, "suspected");
-  r.benched = size_or(doc, "benched");
-  r.brownouts = size_or(doc, "brownouts");
-  r.brownout_declines = size_or(doc, "brownout_declines");
-  r.repairs = size_or(doc, "repairs");
-  r.repair_micros = num_or(doc, "repair_micros", 0.0);
-  r.repair_moves = size_or(doc, "repair_moves");
-  r.replans = size_or(doc, "replans");
-  r.control_messages = size_or(doc, "control_messages");
-  r.radio_energy_j = num_or(doc, "radio_energy_j", 0.0);
-  r.delta_pending = size_or(doc, "delta_pending");
-  r.delivered_utility = num_or(doc, "delivered_utility", 0.0);
-  r.packets_delivered = size_or(doc, "packets_delivered");
-  r.packet_drops = size_or(doc, "packet_drops");
-  r.collisions = size_or(doc, "collisions");
-  r.queue_peak = size_or(doc, "queue_peak");
-  return r;
-}
-
 MetricRow row_from_json(const JsonValue& m) {
   MetricRow row;
   row.name = m.contains("name") ? m.at("name").as_string() : "";
@@ -96,7 +70,6 @@ std::optional<Provenance> provenance_of(const JsonValue& object) {
 
 const char* artifact_kind_name(ArtifactKind kind) {
   switch (kind) {
-    case ArtifactKind::kTimeline: return "timeline";
     case ArtifactKind::kMetricsCsv: return "metrics-csv";
     case ArtifactKind::kMetricsJson: return "metrics-json";
     case ArtifactKind::kTrace: return "trace";
@@ -113,32 +86,6 @@ const MetricRow* MetricsData::find(const std::string& name) const {
   for (const auto& row : rows)
     if (row.name == name) return &row;
   return nullptr;
-}
-
-TimelineData parse_timeline(const std::string& text) {
-  TimelineData data;
-  std::istringstream lines(text);
-  std::string line;
-  bool first = true;
-  while (std::getline(lines, line)) {
-    if (util::trim(line).empty()) continue;
-    JsonValue doc;
-    try {
-      doc = parse_json(line);
-    } catch (const std::runtime_error&) {
-      data.truncated = true;  // killed mid-write; keep what parsed
-      break;
-    }
-    if (first) {
-      first = false;
-      if (const auto prov = provenance_of(doc); prov.has_value()) {
-        data.provenance = prov;
-        continue;
-      }
-    }
-    if (doc.is_object()) data.slots.push_back(slot_from_json(doc));
-  }
-  return data;
 }
 
 MetricsData parse_metrics_csv(const std::string& text) {
@@ -340,7 +287,7 @@ FlightData parse_flight(const std::string& text) {
   return data;
 }
 
-ArtifactKind detect_kind(const std::string& path, const std::string& text) {
+ArtifactKind detect_kind(const std::string& text) {
   const std::string_view trimmed = util::trim(text);
   if (trimmed.empty()) return ArtifactKind::kUnknown;
   if (trimmed.front() != '{' && trimmed.front() != '#')
@@ -356,15 +303,11 @@ ArtifactKind detect_kind(const std::string& path, const std::string& text) {
     if (doc.contains("bench")) return ArtifactKind::kBench;
     if (doc.contains("profile")) return ArtifactKind::kProfile;
     if (doc.contains("flight")) return ArtifactKind::kFlight;  // header-only
-    if (doc.contains("slot")) return ArtifactKind::kTimeline;  // one-line run
-    if (doc.contains("provenance") && doc.as_object().size() == 1)
-      return ArtifactKind::kTimeline;  // header-only timeline
   } catch (const std::runtime_error&) {
     // Not one document — JSONL (or trash); fall through.
   }
   // Multi-line JSONL: flight dumps announce themselves with a "flight"
-  // header key on the first line; everything else line-oriented is a
-  // timeline.
+  // header key on the first line.
   std::istringstream lines(text);
   std::string first_line;
   while (std::getline(lines, first_line) && util::trim(first_line).empty()) {
@@ -372,14 +315,6 @@ ArtifactKind detect_kind(const std::string& path, const std::string& text) {
   try {
     const JsonValue doc = parse_json(first_line);
     if (doc.is_object() && doc.contains("flight")) return ArtifactKind::kFlight;
-  } catch (const std::runtime_error&) {
-  }
-  if (path.size() >= 6 &&
-      path.compare(path.size() - 6, 6, ".jsonl") == 0)
-    return ArtifactKind::kTimeline;
-  try {
-    const JsonValue doc = parse_json(first_line);
-    if (doc.is_object()) return ArtifactKind::kTimeline;
   } catch (const std::runtime_error&) {
   }
   return ArtifactKind::kUnknown;
@@ -397,9 +332,8 @@ Artifact load_artifact(const std::string& path) {
   Artifact artifact;
   artifact.path = path;
   const std::string text = read_file(path);
-  artifact.kind = detect_kind(path, text);
+  artifact.kind = detect_kind(text);
   switch (artifact.kind) {
-    case ArtifactKind::kTimeline: artifact.timeline = parse_timeline(text); break;
     case ArtifactKind::kMetricsCsv: artifact.metrics = parse_metrics_csv(text); break;
     case ArtifactKind::kMetricsJson: artifact.metrics = parse_metrics_json(text); break;
     case ArtifactKind::kTrace: artifact.trace = parse_trace(text); break;

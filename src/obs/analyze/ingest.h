@@ -1,12 +1,13 @@
 // Artifact ingestion for the offline analysis tier (DESIGN.md section 9).
 //
-// Everything the telemetry layer emits — per-slot timeline JSONL, metrics
-// registry dumps (CSV or JSON), Chrome trace JSON, and the bench-harness
-// `{bench, config, provenance, metrics}` JSON — loads back into typed
-// structs here, reusing the obs JSON parser. Ingestion is deliberately
-// forgiving: a truncated timeline parses up to the first bad line, missing
-// record fields keep their defaults, and unknown members are ignored, so
-// `coolstat` can summarize the artifacts of a crashed or killed run.
+// Everything the telemetry layer emits — metrics registry dumps (CSV or
+// JSON), Chrome trace JSON, coold flight-recorder JSONL, sampling profiles,
+// and the bench-harness `{bench, config, provenance, metrics}` JSON — loads
+// back into typed structs here, reusing the obs JSON parser. Ingestion is
+// deliberately forgiving: a truncated flight dump parses up to the first
+// bad line, missing record fields keep their defaults, and unknown members
+// are ignored, so `coolstat` can summarize the artifacts of a crashed or
+// killed run.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +17,6 @@
 #include <vector>
 
 #include "obs/provenance.h"
-#include "obs/timeline.h"
 #include "obs/trace.h"
 
 namespace cool::obs {
@@ -26,7 +26,6 @@ class JsonValue;
 namespace cool::obs::analyze {
 
 enum class ArtifactKind {
-  kTimeline,     // JSONL, one SlotRecord per line (obs/timeline)
   kMetricsCsv,   // MetricsRegistry::write_csv dump
   kMetricsJson,  // MetricsRegistry::write_json dump
   kTrace,        // Chrome trace-event JSON (obs/trace)
@@ -49,14 +48,6 @@ struct MetricRow {
   double value = 0.0;  // gauge value / histogram mean
   double p50 = 0.0;
   double p99 = 0.0;
-};
-
-struct TimelineData {
-  std::optional<Provenance> provenance;
-  std::vector<SlotRecord> slots;
-  // True when the file ended in an unparseable line (killed mid-write);
-  // everything before it is still in `slots`.
-  bool truncated = false;
 };
 
 struct MetricsData {
@@ -146,7 +137,6 @@ struct ProfileData {
 struct Artifact {
   ArtifactKind kind = ArtifactKind::kUnknown;
   std::string path;
-  TimelineData timeline;
   MetricsData metrics;
   TraceData trace;
   BenchSuite suite;
@@ -155,7 +145,6 @@ struct Artifact {
 };
 
 // Per-format parsers; throw std::runtime_error on unrecoverable input.
-TimelineData parse_timeline(const std::string& text);
 MetricsData parse_metrics_csv(const std::string& text);
 MetricsData parse_metrics_json(const std::string& text);
 TraceData parse_trace(const std::string& text);
@@ -164,11 +153,12 @@ BenchSuite parse_suite(const std::string& text);
 FlightData parse_flight(const std::string& text);
 ProfileData parse_profile(const std::string& text);
 
-// Sniffs the format from content (extension only as a tie-break) and
-// dispatches; throws std::runtime_error when the file is unreadable or no
-// parser accepts it.
+// Sniffs the format from content and dispatches; throws std::runtime_error
+// when the file is unreadable or no parser accepts it. Line-oriented JSON
+// is a flight dump only with its {"flight":...} header line; anything else
+// is kUnknown.
 Artifact load_artifact(const std::string& path);
-ArtifactKind detect_kind(const std::string& path, const std::string& text);
+ArtifactKind detect_kind(const std::string& text);
 
 // Reads a whole file; throws std::runtime_error when unreadable.
 std::string read_file(const std::string& path);

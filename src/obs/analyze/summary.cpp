@@ -1,10 +1,7 @@
 #include "obs/analyze/summary.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
-
-#include "util/stats.h"
 
 namespace cool::obs::analyze {
 
@@ -12,72 +9,6 @@ namespace {
 
 void put(RunSummary& summary, const std::string& name, double value) {
   summary.metrics.emplace_back(name, value);
-}
-
-void summarize_timeline(const TimelineData& data, RunSummary& summary) {
-  const auto& slots = data.slots;
-  put(summary, "slots", static_cast<double>(slots.size()));
-  if (slots.empty()) return;
-
-  double utility_sum = 0.0, utility_min = slots.front().utility;
-  double active_sum = 0.0, radio_j = 0.0, delivered_sum = 0.0;
-  std::size_t brownouts = 0, declines = 0, repairs = 0, moves = 0, replans = 0,
-              control = 0, live_min = slots.front().live, delta_peak = 0,
-              packets = 0, drops = 0, collisions = 0, queue_peak = 0;
-  std::vector<double> repair_latency;  // per-call latency, slots with repairs
-  for (const auto& s : slots) {
-    utility_sum += s.utility;
-    utility_min = std::min(utility_min, s.utility);
-    active_sum += static_cast<double>(s.active);
-    radio_j += s.radio_energy_j;
-    brownouts += s.brownouts;
-    declines += s.brownout_declines;
-    repairs += s.repairs;
-    moves += s.repair_moves;
-    replans += s.replans;
-    control += s.control_messages;
-    live_min = std::min(live_min, s.live);
-    delta_peak = std::max(delta_peak, s.delta_pending);
-    delivered_sum += s.delivered_utility;
-    packets += s.packets_delivered;
-    drops += s.packet_drops;
-    collisions += s.collisions;
-    queue_peak = std::max(queue_peak, s.queue_peak);
-    if (s.repairs > 0)
-      repair_latency.push_back(s.repair_micros /
-                               static_cast<double>(s.repairs));
-  }
-  const auto n = static_cast<double>(slots.size());
-  put(summary, "utility_mean", utility_sum / n);
-  put(summary, "utility_min", utility_min);
-  put(summary, "utility_last", slots.back().utility);
-  put(summary, "active_mean", active_sum / n);
-  put(summary, "live_min", static_cast<double>(live_min));
-  put(summary, "dead_final", static_cast<double>(slots.back().believed_dead));
-  put(summary, "benched_final", static_cast<double>(slots.back().benched));
-  put(summary, "brownouts", static_cast<double>(brownouts));
-  put(summary, "brownout_declines", static_cast<double>(declines));
-  put(summary, "repairs", static_cast<double>(repairs));
-  put(summary, "repair_moves", static_cast<double>(moves));
-  // 0 when no slot repaired (util::percentile rejects an empty sample).
-  const auto repair_quantile = [&](double q) {
-    return repair_latency.empty() ? 0.0 : util::percentile(repair_latency, q);
-  };
-  put(summary, "repair_p50_us", repair_quantile(0.50));
-  put(summary, "repair_p95_us", repair_quantile(0.95));
-  put(summary, "repair_max_us", repair_quantile(1.0));
-  put(summary, "replans", static_cast<double>(replans));
-  put(summary, "control_messages", static_cast<double>(control));
-  put(summary, "radio_energy_j", radio_j);
-  put(summary, "delta_pending_peak", static_cast<double>(delta_peak));
-  // Delivered-coverage rollups; all-zero when the run had no data plane.
-  if (packets > 0 || drops > 0 || delivered_sum > 0.0) {
-    put(summary, "delivered_utility_mean", delivered_sum / n);
-    put(summary, "packets_delivered", static_cast<double>(packets));
-    put(summary, "packet_drops", static_cast<double>(drops));
-    put(summary, "collisions", static_cast<double>(collisions));
-    put(summary, "queue_peak", static_cast<double>(queue_peak));
-  }
 }
 
 void summarize_metrics(const MetricsData& data, RunSummary& summary) {
@@ -272,11 +203,6 @@ RunSummary summarize(const Artifact& artifact) {
   summary.kind = artifact.kind;
   summary.path = artifact.path;
   switch (artifact.kind) {
-    case ArtifactKind::kTimeline:
-      summary.provenance = artifact.timeline.provenance;
-      summary.truncated = artifact.timeline.truncated;
-      summarize_timeline(artifact.timeline, summary);
-      break;
     case ArtifactKind::kMetricsCsv:
     case ArtifactKind::kMetricsJson:
       summary.provenance = artifact.metrics.provenance;

@@ -1,11 +1,10 @@
 // Per-run summaries: the flat metric vector every coolstat verb works on.
 //
 // summarize() reduces any ingested artifact to an ordered list of
-// (name, value) pairs — utility mean/min per slot, repair-latency
-// p50/p95/max, brownout and dead-node counts, oracle-call throughput, span
-// total/self-time rollups — so `diff` and `check` compare runs without
-// caring which artifact kind they came from. Exact quantiles come from the
-// timeline (per-slot samples); metrics dumps contribute their exported
+// (name, value) pairs — counters and gauges, histogram p50/p99, oracle-call
+// throughput, span total/self-time rollups, flight-event and profile
+// tallies — so `diff` and `check` compare runs without caring which
+// artifact kind they came from. Metrics dumps contribute their exported
 // p50/p99; traces contribute wall-clock attribution per span name.
 #pragma once
 
@@ -23,7 +22,7 @@ struct RunSummary {
   ArtifactKind kind = ArtifactKind::kUnknown;
   std::string path;
   std::optional<Provenance> provenance;
-  bool truncated = false;  // timeline ended mid-write
+  bool truncated = false;  // flight dump ended mid-write
   // Ordered, duplicate-free flat metrics. Names are dotted lowercase;
   // bench artifacts prefix "<bench>." so a merged suite stays unambiguous.
   std::vector<std::pair<std::string, double>> metrics;

@@ -1,7 +1,7 @@
 // Minimal JSON support for the observability exporters and their tests.
 //
-// The writers in this library (Chrome trace export, timeline JSONL, metric
-// dumps) only need escaping; the recursive-descent parser exists so tests
+// The writers in this library (Chrome trace export, metric dumps, profile
+// artifacts) only need escaping; the recursive-descent parser exists so tests
 // can validate emitted output without an external JSON dependency. It
 // handles the full value grammar (objects, arrays, strings with escapes,
 // numbers, true/false/null) but is not tuned for large documents.

@@ -4,11 +4,9 @@
 #include <dlfcn.h>
 #include <errno.h>
 #include <execinfo.h>
-#include <fcntl.h>
 #include <signal.h>
 #include <sys/time.h>
 #include <time.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -175,19 +173,6 @@ std::int64_t process_cpu_ns() {
   timespec now{};
   ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now);
   return static_cast<std::int64_t>(now.tv_sec) * 1000000000 + now.tv_nsec;
-}
-
-bool write_fully(int fd, const char* data, std::size_t size) noexcept {
-  while (size > 0) {
-    const ssize_t wrote = ::write(fd, data, size);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += wrote;
-    size -= static_cast<std::size_t>(wrote);
-  }
-  return true;
 }
 
 }  // namespace
@@ -476,40 +461,6 @@ bool write_profile(const Profile& profile, const std::string& json_path,
 
 bool dump_to_path(const std::string& json_path, const Provenance* provenance) {
   return write_profile(collect(), json_path, provenance);
-}
-
-std::size_t dump_raw(int fd) noexcept {
-  if (g_slots == nullptr) return 0;
-  // Worst case per frame: "0x" + 16 hex digits + ';' — the line buffer is
-  // sized for all of them plus " 1\n".
-  char line[kMaxFrames * (2 + 2 * sizeof(std::uintptr_t) + 1) + 4];
-  std::size_t lines = 0;
-  for (std::size_t i = 0; i < g_capacity; ++i) {
-    RawSample sample;
-    if (!read_slot(g_slots[i], &sample)) continue;
-    std::size_t pos = 0;
-    for (int f = sample.frame_count - 1; f >= 0; --f) {  // root-first
-      if (pos != 0) line[pos++] = ';';
-      line[pos++] = '0';
-      line[pos++] = 'x';
-      const std::uintptr_t addr = sample.frames[f];
-      bool significant = false;
-      for (int nibble = 2 * static_cast<int>(sizeof(std::uintptr_t)) - 1;
-           nibble >= 0; --nibble) {
-        const unsigned digit =
-            static_cast<unsigned>(addr >> (4 * nibble)) & 0xFu;
-        if (digit == 0 && !significant && nibble != 0) continue;
-        significant = true;
-        line[pos++] = "0123456789abcdef"[digit];
-      }
-    }
-    line[pos++] = ' ';
-    line[pos++] = '1';
-    line[pos++] = '\n';
-    if (!write_fully(fd, line, pos)) return lines;
-    ++lines;
-  }
-  return lines;
 }
 
 }  // namespace cool::obs::prof

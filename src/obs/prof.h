@@ -28,8 +28,7 @@
 // symbolizes frames via dladdr (+ demangle; executables are linked with
 // ENABLE_EXPORTS so their own symbols resolve, hex addresses otherwise) and
 // writes a provenance-stamped JSON artifact (coolstat-ingestible) plus a
-// `<out>.folded` sidecar. dump_raw() is the crash-context escape hatch:
-// hex-address folded lines via write(2) only.
+// `<out>.folded` sidecar.
 #pragma once
 
 #include <atomic>
@@ -68,33 +67,14 @@ inline bool profiling_enabled() noexcept {
   return profiling_flag().load(std::memory_order_relaxed);
 }
 
-// Span-attribution stack (thread-local; called by ScopedSpan when
-// profiling_enabled()). Names must be string literals or otherwise outlive
-// the profile window. current_span() returns nullptr when no span is open.
+// Span-attribution stack (thread-local). obs::ScopedSpan, the one RAII
+// span type, pushes and pops it whenever profiling_enabled(), with or
+// without a trace collector. Names must be string literals or otherwise
+// outlive the profile window. current_span() returns nullptr when no span
+// is open.
 void push_span(const char* name) noexcept;
 void pop_span() noexcept;
 const char* current_span() noexcept;
-
-// RAII push/pop for code that times its phases manually instead of using
-// COOL_SPAN (e.g. the coold batch engine). No-op unless profiling was
-// enabled at construction.
-class SpanScope {
- public:
-  explicit SpanScope(const char* name) noexcept {
-    if (profiling_enabled()) {
-      push_span(name);
-      pushed_ = true;
-    }
-  }
-  ~SpanScope() {
-    if (pushed_) pop_span();
-  }
-  SpanScope(const SpanScope&) = delete;
-  SpanScope& operator=(const SpanScope&) = delete;
-
- private:
-  bool pushed_ = false;
-};
 
 std::uint64_t samples_recorded() noexcept;
 
@@ -162,10 +142,6 @@ bool write_profile(const Profile& profile, const std::string& json_path,
                    const Provenance* provenance);
 bool dump_to_path(const std::string& json_path,
                   const Provenance* provenance = nullptr);
-
-// Async-signal-safe raw dump: one "0xleaf;...;0xroot 1" line per live ring
-// slot (reversed to root-first), write(2) only. Returns lines written.
-std::size_t dump_raw(int fd) noexcept;
 
 // Internal bridge to prof_alloc.cpp (exposed for tests).
 void set_alloc_profiling(bool enabled) noexcept;

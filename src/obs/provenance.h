@@ -1,8 +1,8 @@
 // Run provenance: the header stamped into every telemetry artifact so any
 // two of them are comparable offline.
 //
-// A metrics dump, Chrome trace, timeline JSONL, or bench JSON from last
-// week is only useful next to one from today if both say what produced
+// A metrics dump, Chrome trace, flight dump, profile, or bench JSON from
+// last week is only useful next to one from today if both say what produced
 // them: which commit, which build type, whether hot-path instrumentation
 // was compiled in, which seed and CLI arguments, and how long the run
 // took. Provenance::collect() captures the build-time facts (git SHA and

@@ -28,10 +28,7 @@ void DeltaDisseminator::enqueue(std::size_t node, std::size_t slot) {
     ++stats_.updates_abandoned;
     return;
   }
-  if (!pending_[node]) {
-    pending_[node] = 1;
-    ++pending_count_;
-  }
+  pending_[node] = 1;
   // A re-enqueue supersedes the old payload but keeps the backoff clock: the
   // path, not the payload, is what has been failing.
   next_attempt_slot_[node] = std::max(next_attempt_slot_[node], slot);
@@ -80,7 +77,6 @@ DeltaSlotReport DeltaDisseminator::step(std::size_t slot,
     ++report.attempts;
     if (attempt(v, up, rng, report)) {
       pending_[v] = 0;
-      --pending_count_;
       failures_[v] = 0;
       report.delivered.push_back(v);
       ++stats_.updates_delivered;
@@ -90,7 +86,6 @@ DeltaSlotReport DeltaDisseminator::step(std::size_t slot,
     ++failures_[v];
     if (config_.max_attempts > 0 && failures_[v] >= config_.max_attempts) {
       pending_[v] = 0;
-      --pending_count_;
       failures_[v] = 0;
       ++stats_.updates_abandoned;
       continue;

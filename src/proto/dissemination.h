@@ -100,7 +100,6 @@ class DeltaDisseminator {
   void enqueue(std::size_t node, std::size_t slot);
 
   bool pending(std::size_t node) const { return pending_[node] != 0; }
-  std::size_t pending_count() const noexcept { return pending_count_; }
 
   // Attempts every queued update whose backoff has expired. `up` marks nodes
   // that can receive/forward; the sink's gateway radio is always powered.
@@ -124,7 +123,6 @@ class DeltaDisseminator {
   std::vector<std::uint8_t> pending_;
   std::vector<std::size_t> next_attempt_slot_;
   std::vector<std::size_t> failures_;  // consecutive failures per update
-  std::size_t pending_count_ = 0;
   DeltaStats stats_;
 };
 

@@ -40,6 +40,8 @@ CampaignRunner::CampaignRunner(const net::Network& network,
   if (utility_->ground_size() != network.sensor_count())
     throw std::invalid_argument("CampaignRunner: utility/network mismatch");
   if (config.days == 0) throw std::invalid_argument("CampaignRunner: zero days");
+  if (config.failure_rate_per_slot < 0.0 || config.failure_rate_per_slot > 1.0)
+    throw std::invalid_argument("CampaignRunner: failure rate outside [0, 1]");
 }
 
 CampaignReport CampaignRunner::run() const {
@@ -105,8 +107,11 @@ CampaignReport CampaignRunner::run() const {
     sim_config.slot_minutes = plan.pattern.slot_minutes();
     sim_config.pattern = plan.pattern;
     sim_config.initial_weather = plan.weather;
-    sim_config.failure_rate_per_slot = config_.failure_rate_per_slot;
-    sim_config.repair_slots = config_.repair_slots;
+    if (config_.failure_rate_per_slot > 0.0) {
+      sim_config.faults.kind = FaultKind::kTransient;
+      sim_config.faults.failure_rate_per_slot = config_.failure_rate_per_slot;
+      sim_config.faults.repair_slots = config_.repair_slots;
+    }
 
     std::unique_ptr<ActivationPolicy> policy;
     if (config_.repair_policy) {

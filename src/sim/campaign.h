@@ -26,6 +26,8 @@ struct CampaignConfig {
   std::size_t days = 30;
   double working_minutes = 720.0;
   EnergyBackend backend = EnergyBackend::kNormalized;
+  // Transient faults (sim/faults.h) in each simulated day; a zero rate
+  // injects none.
   double failure_rate_per_slot = 0.0;
   std::size_t repair_slots = 4;
   // When set, schedules are disseminated over lossy links before running

@@ -239,19 +239,10 @@ RuntimeReport ResilientRuntime::run() {
     return s;
   };
 
-  std::size_t believed_dead_count = 0;
-
   for (std::size_t slot = 0; slot < config_.slots; ++slot) {
-    // Per-slot gateway telemetry, flushed to the timeline sink (and the
-    // trace counter tracks) at the bottom of the loop.
-    obs::SlotRecord tick;
-    tick.slot = slot;
-
     // 1. Ground truth advances.
     faults.step(slot);
     const auto up = faults.up_mask();
-    tick.live = static_cast<std::size_t>(
-        std::accumulate(up.begin(), up.end(), std::size_t{0}));
     if (eu.enabled) window.begin_slot(slot);
 
     // Communication view: a post-brownout node is radio-dark — its silence
@@ -283,12 +274,8 @@ RuntimeReport ResilientRuntime::run() {
     }
     report.heartbeat_transmissions += hb.transmissions;
     report.heartbeat_energy_j += hb.radio_energy_j;
-    tick.suspected = hb.newly_suspected.size();
-    tick.control_messages += hb.transmissions;
-    tick.radio_energy_j += hb.radio_energy_j;
     for (const auto v : hb.newly_dead) {
       believed_dead[v] = 1;
-      ++believed_dead_count;
       COOL_INSTANT("runtime.death_declared", "sim");
       if (faults.dead(v)) {
         ++report.detected_deaths;
@@ -308,9 +295,6 @@ RuntimeReport ResilientRuntime::run() {
       const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
                               std::chrono::steady_clock::now() - start)
                               .count();
-      ++tick.repairs;
-      tick.repair_micros += static_cast<double>(micros);
-      tick.repair_moves += repaired.moves;
       COOL_METRIC_OBSERVE("runtime.repair_micros", micros);
       report.repair_micros.add(static_cast<double>(micros));
       report.repair_oracle_calls.add(static_cast<double>(repaired.oracle_calls));
@@ -434,9 +418,6 @@ RuntimeReport ResilientRuntime::run() {
           report.repair_oracle_calls.add(
               static_cast<double>(replanned.oracle_calls));
           report.repair_moves += replanned.moves;
-          ++tick.replans;
-          tick.repair_micros += static_cast<double>(micros);
-          tick.repair_moves += replanned.moves;
           gateway = std::move(replanned.schedule);
           // Add-only placement: each probationer (row cleared by the masked
           // repair) lands in the slot where its marginal gain is largest. No
@@ -476,8 +457,6 @@ RuntimeReport ResilientRuntime::run() {
       COOL_SPAN("runtime.redisseminate", "sim");
       push = delta.step(slot, comms_up, delta_rng);
     }
-    tick.control_messages += push.data_transmissions + push.ack_transmissions;
-    tick.radio_energy_j += push.radio_energy_j;
     for (const auto v : push.delivered) {
       copy_row(executed, gateway, v);
       report.redissemination_latency_slots.add(
@@ -501,12 +480,10 @@ RuntimeReport ResilientRuntime::run() {
           if (eu.brownout_guard) {
             // Decline and keep recharging; the slot is simply lost.
             ++report.brownout_declines;
-            ++tick.brownout_declines;
           } else {
             // Mid-slot brownout: the attempt drains the battery to zero,
             // yields nothing, and blacks the radio out.
             ++report.brownouts;
-            ++tick.brownouts;
             COOL_INSTANT("runtime.brownout", "sim");
             attempted[v] = 1;
             level[v] = 0.0;
@@ -522,8 +499,6 @@ RuntimeReport ResilientRuntime::run() {
     report.total_utility += slot_utility;
     report.activations += active.size();
     report.fault_free_utility += reference_slot_utility[slot % T];
-    tick.utility = slot_utility;
-    tick.active = active.size();
 
     std::vector<std::uint8_t> is_active(n, 0);
     for (const auto v : active) is_active[v] = 1;
@@ -537,8 +512,7 @@ RuntimeReport ResilientRuntime::run() {
       const auto delivered_state = utility_->make_state();
       for (std::size_t v = 0; v < n; ++v)
         if (col.delivered_mask[v]) delivered_state->add(v);
-      const double delivered_utility = delivered_state->value();
-      report.delivered_utility += delivered_utility;
+      report.delivered_utility += delivered_state->value();
       report.packets_originated += col.originated;
       report.packets_delivered += col.delivered;
       report.packets_late += col.delivered_late;
@@ -553,12 +527,6 @@ RuntimeReport ResilientRuntime::run() {
       report.max_queue_depth = std::max(report.max_queue_depth,
                                         col.max_queue_depth);
       report.collection_energy_j += col.radio_energy_j;
-      tick.delivered_utility = delivered_utility;
-      tick.packets_delivered = col.delivered;
-      tick.packet_drops = col.drops_overflow + col.drops_retry +
-                          col.drops_radio_dark + col.non_lost;
-      tick.collisions = col.collisions;
-      tick.queue_peak = col.max_queue_depth;
     }
 
     // 6. Advance batteries; completed active slots feed wearout and the
@@ -585,14 +553,9 @@ RuntimeReport ResilientRuntime::run() {
       }
     }
 
-    // End of slot: finalize the telemetry record and counter tracks.
-    tick.believed_dead = believed_dead_count;
-    tick.benched = benched_count;
-    tick.delta_pending = delta.pending_count();
-    COOL_TRACE_COUNTER("runtime.slot_utility", tick.utility);
+    COOL_TRACE_COUNTER("runtime.slot_utility", slot_utility);
     COOL_TRACE_COUNTER("runtime.live_nodes",
-                       static_cast<double>(tick.live));
-    if (config_.timeline != nullptr) config_.timeline->record(tick);
+                       std::accumulate(up.begin(), up.end(), std::size_t{0}));
   }
 
   report.slots = config_.slots;

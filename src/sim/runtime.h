@@ -44,7 +44,6 @@
 #include "net/network.h"
 #include "net/radio.h"
 #include "net/routing.h"
-#include "obs/timeline.h"
 #include "proto/dissemination.h"
 #include "proto/heartbeat.h"
 #include "sim/faults.h"
@@ -141,9 +140,6 @@ struct RuntimeConfig {
   // Score every repair against the full lazy-greedy recompute oracle and
   // record the utility ratio (costly: one full schedule per repair).
   bool oracle_gap = false;
-  // Optional per-slot gateway telemetry (JSONL); must outlive run(). See
-  // obs/timeline.h for the record schema.
-  obs::TimelineSink* timeline = nullptr;
 };
 
 struct RuntimeReport {

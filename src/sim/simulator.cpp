@@ -27,16 +27,6 @@ double slot_utility(const sub::SubmodularFunction& utility,
 
 }  // namespace
 
-FaultModelConfig Simulator::effective_faults(const SimConfig& config) {
-  if (config.faults.kind != FaultKind::kNone) return config.faults;
-  if (config.failure_rate_per_slot <= 0.0) return {};
-  FaultModelConfig faults;
-  faults.kind = FaultKind::kTransient;
-  faults.failure_rate_per_slot = config.failure_rate_per_slot;
-  faults.repair_slots = config.repair_slots;
-  return faults;
-}
-
 Simulator::Simulator(std::shared_ptr<const sub::SubmodularFunction> utility,
                      const SimConfig& config, util::Rng rng)
     : utility_(std::move(utility)), config_(config), rng_(std::move(rng)) {
@@ -45,9 +35,7 @@ Simulator::Simulator(std::shared_ptr<const sub::SubmodularFunction> utility,
     throw std::invalid_argument("Simulator: empty horizon");
   if (config_.slot_minutes <= 0.0)
     throw std::invalid_argument("Simulator: slot_minutes <= 0");
-  if (config_.failure_rate_per_slot < 0.0 || config_.failure_rate_per_slot > 1.0)
-    throw std::invalid_argument("Simulator: failure rate outside [0, 1]");
-  validate_fault_config(effective_faults(config_), utility_->ground_size());
+  validate_fault_config(config_.faults, utility_->ground_size());
 }
 
 SimReport Simulator::run(ActivationPolicy& policy) {
@@ -69,7 +57,7 @@ SimReport Simulator::run(ActivationPolicy& policy) {
   std::vector<energy::HarvestSimulator> harvest;
 
   // Fault state: stream 2 keeps transient runs bit-identical with the seed.
-  FaultModel faults(n, effective_faults(config_), rng_.fork(2));
+  FaultModel faults(n, config_.faults, rng_.fork(2));
 
   for (std::size_t day = 0; day < config_.days; ++day) {
     if (config_.backend == EnergyBackend::kHarvest) {

@@ -27,7 +27,7 @@
 //    "network":"tenant-7",          // tenant key (required for plan types)
 //    "priority":1,                  // 0 interactive, 1 normal, 2 batch
 //    "deadline_ms":250,             // latency budget; 0 = service default
-//    "degrade_min":0,               // ladder floor (WAL replay pins this)
+//    "degrade_min":0,               // ladder floor 0-2; 1 starts at 0
 //    "spec":{...},                  // network spec (required for schedule)
 //    "dead":[3,17]}                 // failed sensors (repair only)
 //
@@ -109,7 +109,7 @@ struct Request {
   std::string network;
   int priority = 1;         // 0 interactive, 1 normal, 2 batch
   double deadline_ms = 0.0; // 0 -> service default
-  int degrade_min = 0;      // minimum ladder level (replay pin / client hint)
+  int degrade_min = 0;      // minimum ladder level (client hint; 1 reads as 0)
   bool has_spec = false;
   NetworkSpec spec;
   std::vector<std::size_t> dead;  // repair: failed sensor ids

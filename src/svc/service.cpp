@@ -26,8 +26,12 @@ double ms_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-// Levels 0 and 1 both run the exact lazy greedy (level 1 survives for WAL
-// entries and degrade_min pins that name it); level 2 is the HEF floor.
+// The ladder has two rungs: 0 runs the exact lazy greedy and 2 the HEF
+// floor. A requested or logged level maps onto them here, and only here: 2
+// stays the floor, and 0 and 1 both start at 0 (level 1 once named a rung of
+// its own, so old clients and old WAL entries still carry it).
+int ladder_level(int requested) { return requested >= 2 ? 2 : 0; }
+
 const char* planner_name(int level) {
   return level < 2 ? "lazy_greedy" : "hef";
 }
@@ -170,8 +174,7 @@ std::uint64_t CooldService::next_trace_id() {
 
 void CooldService::record_span(const char* name, const std::string& network,
                                std::uint64_t trace, std::uint64_t start_us,
-                               int level) {
-  const std::uint64_t end_us = obs::trace_now_us();
+                               std::uint64_t end_us, int level) {
   const std::uint64_t dur_us = end_us > start_us ? end_us - start_us : 0;
   if (flight_)
     flight_->record(obs::FlightKind::kSpan, name, network, trace, 0, dur_us,
@@ -330,7 +333,8 @@ void CooldService::execute_plan(Job& job) {
     job.new_schedule = std::move(repaired.schedule);
     job.run_end = Clock::now();
     if (config_.obs_enabled)
-      record_span("plan.repair", request.network, trace, span_start, 0);
+      record_span("plan.repair", request.network, trace, span_start,
+                  obs::trace_now_us(), 0);
     return;
   }
 
@@ -363,7 +367,7 @@ void CooldService::execute_plan(Job& job) {
       job.new_schedule = std::move(result.schedule);
       if (config_.obs_enabled)
         record_span(plan_span_name(level), request.network, trace, span_start,
-                    level);
+                    obs::trace_now_us(), level);
       break;
     } catch (const core::Cancelled&) {
       // Deadline blown mid-plan: jump straight to the floor, which ignores
@@ -373,7 +377,7 @@ void CooldService::execute_plan(Job& job) {
       COOL_METRIC_ADD("svc.plans.cancelled", 1);
       if (config_.obs_enabled) {
         record_span(plan_span_name(level), request.network, trace, span_start,
-                    level);
+                    obs::trace_now_us(), level);
         if (flight_)
           flight_->record(obs::FlightKind::kDegrade, planner_name(level),
                           request.network, trace, 0, 0, 2);
@@ -387,6 +391,8 @@ void CooldService::execute_plan(Job& job) {
 void CooldService::process_batch(std::vector<Ticket>&& batch) {
   COOL_SPAN("svc.batch", "svc");
   const Clock::time_point batch_start = Clock::now();
+  // Every queue span of the batch ends here, at batch formation.
+  const std::uint64_t batch_us = config_.obs_enabled ? obs::trace_now_us() : 0;
   const int base_level = ladder_start_level();
 
   // Phase A — serial, admission order: resolve sessions, bump recency for
@@ -405,14 +411,14 @@ void CooldService::process_batch(std::vector<Ticket>&& batch) {
     job.response.type = to_string(request.type);
     job.response.network = request.network;
     job.response.trace = job.ticket.trace;
-    job.start_level = std::max(base_level, request.degrade_min);
+    job.start_level = std::max(base_level, ladder_level(request.degrade_min));
     if (config_.obs_enabled) {
       // The queue span: admission to batch formation, one per request.
       const std::uint64_t wait_us = static_cast<std::uint64_t>(
           ms_between(job.ticket.admitted, batch_start) * 1000.0);
-      const std::uint64_t now_us = obs::trace_now_us();
       record_span("svc.queue", request.network, job.ticket.trace,
-                  now_us > wait_us ? now_us - wait_us : 0, request.priority);
+                  batch_us > wait_us ? batch_us - wait_us : 0, batch_us,
+                  request.priority);
     }
     switch (request.type) {
       case RequestType::kStatus:
@@ -952,7 +958,7 @@ void CooldService::replay_entry(const WalEntry& entry) {
   job.ticket.request = entry.request;
   job.ticket.trace = entry.trace;
   job.response.id = entry.request.id;
-  job.start_level = entry.degrade;
+  job.start_level = ladder_level(entry.degrade);
   job.use_deadline = false;
   std::vector<std::unique_ptr<Session>> graveyard;
   const Request& request = entry.request;

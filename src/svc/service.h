@@ -12,13 +12,13 @@
 //     shared pool (util/parallel.h), the worker thread included. Each job
 //     walks the degradation ladder:
 //         level 0  lazy greedy   (exact Algorithm 1, the fastest planner)
-//         level 1  lazy greedy   (kept so logged and pinned level-1
-//                                 requests replay)
 //         level 2  HEF-style single pass (O(n·T), never cancelled)
-//     The starting level comes from queue pressure (past the critical
-//     watermark -> start at the floor); levels 0 and 1 run under the
-//     request's deadline budget and a blown budget jumps straight to the
-//     always-completing floor.
+//     Level 1 once named a rung of its own. A degrade_min pin or a logged
+//     WAL level of 1 still parses and starts at level 0, and a pin of 2
+//     starts at the floor. The starting level also comes from queue
+//     pressure (past the critical watermark -> start at the floor); level 0
+//     runs under the request's deadline budget and a blown budget jumps
+//     straight to the always-completing floor.
 //   Phase C (serial, admission order)  assign LSNs to successful mutations,
 //     append them to the WAL — including the ladder level actually used —
 //     fsync once for the whole batch, then and only then invoke the
@@ -35,7 +35,9 @@
 // trace id (splitmix64 of the admission sequence — deterministic under
 // serial submission, preserved verbatim through WAL replay) that rides on
 // its ticket, response, WAL entry, per-phase spans and flight-recorder
-// events. Three request types are answered *synchronously in submit()*,
+// events. A request's svc.queue span runs from its admission to the
+// formation of its batch, so every queue span of one batch ends at the same
+// microsecond. Three request types are answered *synchronously in submit()*,
 // bypassing the admission queue, so a daemon drowning in overload still
 // describes itself:
 //   stats    global counters + streaming-histogram latency percentiles +
@@ -101,7 +103,8 @@ struct ServiceStats {
   std::uint64_t acked_ok = 0;
   std::uint64_t acked_error = 0;
   std::uint64_t shed = 0;          // rejected with retry_after (overload)
-  std::uint64_t degraded[3] = {0, 0, 0};  // completions per ladder level
+  // Completions per ladder level; degraded[1] stays 0 (no plan runs at 1).
+  std::uint64_t degraded[3] = {0, 0, 0};
   std::uint64_t cancelled = 0;     // deadline hits that forced the floor
   std::uint64_t wal_appends = 0;
   std::uint64_t snapshots = 0;
@@ -164,7 +167,7 @@ class CooldService {
     std::atomic<std::uint64_t> acked_ok{0};
     std::atomic<std::uint64_t> acked_error{0};
     std::atomic<std::uint64_t> shed{0};
-    std::atomic<std::uint64_t> rung[3]{};   // completions per ladder level
+    std::atomic<std::uint64_t> rung[3]{};   // per ladder level; rung[1] = 0
     std::atomic<std::uint64_t> cancelled{0};
     obs::HistogramMetric latency_us;        // admission -> ack
   };
@@ -187,10 +190,12 @@ class CooldService {
   int ladder_start_level() const;
 
   std::uint64_t next_trace_id();
-  // Records one request phase into the flight ring and (when a collector is
-  // installed) the trace sink. start_us is on the trace_now_us() clock.
+  // Records one request phase [start_us, end_us] into the flight ring and
+  // (when a collector is installed) the trace sink; both ends are on the
+  // trace_now_us() clock.
   void record_span(const char* name, const std::string& network,
-                   std::uint64_t trace, std::uint64_t start_us, int level);
+                   std::uint64_t trace, std::uint64_t start_us,
+                   std::uint64_t end_us, int level);
   TenantStats& tenant_stats(const std::string& network);
   void mirror_session_counters();
 

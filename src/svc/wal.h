@@ -8,9 +8,10 @@
 // arrives at bit-identical session state.
 //
 // WAL format: one JSON object per line in <dir>/wal.jsonl,
-//   {"lsn":17,"degrade":1,"trace":"00f0..16hex","req":{...canonical request...}}
+//   {"lsn":17,"degrade":0,"trace":"00f0..16hex","req":{...canonical request...}}
 // `degrade` pins the ladder level the live run actually used (pressure and
-// deadlines are not replayable; the decision is logged so replay is).
+// deadlines are not replayable; the decision is logged so replay is). Live
+// runs log 0 or 2; a 1 from an older log replays at 0, the same planner.
 // `trace` carries the request's trace id so a replayed mutation stays
 // correlatable with the live run's spans and flight-recorder events; it is
 // optional on read (pre-introspection logs replay fine, trace = 0).

@@ -19,7 +19,6 @@
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/provenance.h"
-#include "obs/timeline.h"
 
 namespace cool::obs::analyze {
 namespace {
@@ -72,29 +71,6 @@ TEST(Ingest, SingleBenchFileLoadsAsOneElementSuite) {
   EXPECT_EQ(suite.benches[0].bench, "bench_y");
 }
 
-TEST(Ingest, TimelineParsesHeaderRecordsAndTruncation) {
-  std::ostringstream jsonl;
-  TimelineSink sink(jsonl);
-  sink.write_header(test_provenance());
-  for (std::size_t slot = 0; slot < 3; ++slot) {
-    SlotRecord r;
-    r.slot = slot;
-    r.utility = 0.5 + static_cast<double>(slot);
-    sink.record(r);
-  }
-  const auto clean = parse_timeline(jsonl.str());
-  ASSERT_TRUE(clean.provenance.has_value());
-  EXPECT_EQ(clean.provenance->git_sha, "abc1234");
-  ASSERT_EQ(clean.slots.size(), 3u);
-  EXPECT_FALSE(clean.truncated);
-
-  // A run killed mid-write leaves a torn last line: everything before it
-  // still ingests, and the summary is flagged.
-  const auto torn = parse_timeline(jsonl.str() + "{\"slot\": 3, \"uti");
-  EXPECT_EQ(torn.slots.size(), 3u);
-  EXPECT_TRUE(torn.truncated);
-}
-
 TEST(Ingest, MetricsCsvAndJsonDumpsRoundTrip) {
   MetricsRegistry reg;
   reg.counter("greedy.oracle_calls").add(800);
@@ -118,17 +94,29 @@ TEST(Ingest, MetricsCsvAndJsonDumpsRoundTrip) {
 }
 
 TEST(Ingest, DetectKindSniffsContentNotJustExtension) {
-  EXPECT_EQ(detect_kind("a.json", R"({"traceEvents":[]})"),
-            ArtifactKind::kTrace);
-  EXPECT_EQ(detect_kind("a.json", R"({"metrics":[]})"),
-            ArtifactKind::kMetricsJson);
-  EXPECT_EQ(detect_kind("a.json", R"({"benches":[]})"), ArtifactKind::kSuite);
-  EXPECT_EQ(detect_kind("a.json", R"({"bench":"x","metrics":{}})"),
-            ArtifactKind::kBench);
-  EXPECT_EQ(detect_kind("a.jsonl", R"({"slot":0,"utility":1})"),
-            ArtifactKind::kTimeline);
-  EXPECT_EQ(detect_kind("a.csv", "name,labels,kind,count,value,p50,p99\n"),
+  EXPECT_EQ(detect_kind(R"({"traceEvents":[]})"), ArtifactKind::kTrace);
+  EXPECT_EQ(detect_kind(R"({"metrics":[]})"), ArtifactKind::kMetricsJson);
+  EXPECT_EQ(detect_kind(R"({"benches":[]})"), ArtifactKind::kSuite);
+  EXPECT_EQ(detect_kind(R"({"bench":"x","metrics":{}})"), ArtifactKind::kBench);
+  EXPECT_EQ(detect_kind("name,labels,kind,count,value,p50,p99\n"),
             ArtifactKind::kMetricsCsv);
+  // Line-oriented JSON is a flight dump only under its header line; JSONL
+  // without one is not an artifact this tier reads.
+  EXPECT_EQ(detect_kind("{\"flight\":{\"capacity\":4}}\n{\"seq\":1}\n"),
+            ArtifactKind::kFlight);
+  EXPECT_EQ(detect_kind(R"({"slot":0,"utility":1})"), ArtifactKind::kUnknown);
+  EXPECT_EQ(detect_kind("{\"slot\":0}\n{\"slot\":1}\n"),
+            ArtifactKind::kUnknown);
+  const std::string headerless =
+      write_temp("headerless.jsonl", "{\"slot\":0}\n{\"slot\":1}\n");
+  try {
+    load_artifact(headerless);
+    ADD_FAILURE() << "headerless JSONL must be rejected";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("unrecognized artifact format"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 // --- summaries ------------------------------------------------------------
@@ -155,52 +143,6 @@ TEST(Summary, SpanRollupChargesChildTimeToParentSelf) {
   }
   EXPECT_DOUBLE_EQ(outer_self, 70.0);  // 100 minus the contained 30
   EXPECT_DOUBLE_EQ(inner_self, 30.0);
-}
-
-TEST(Summary, TimelineSummaryHasUtilityAndRepairLatency) {
-  std::ostringstream jsonl;
-  TimelineSink sink(jsonl);
-  sink.write_header(test_provenance());
-  for (std::size_t slot = 0; slot < 4; ++slot) {
-    SlotRecord r;
-    r.slot = slot;
-    r.utility = slot == 2 ? 0.25 : 1.0;
-    r.live = 10;
-    r.repairs = slot == 2 ? 1 : 0;
-    r.repair_micros = slot == 2 ? 200.0 : 0.0;
-    sink.record(r);
-  }
-  Artifact artifact;
-  artifact.kind = ArtifactKind::kTimeline;
-  artifact.timeline = parse_timeline(jsonl.str());
-  const auto summary = summarize(artifact);
-  ASSERT_NE(summary.find("utility_mean"), nullptr);
-  EXPECT_DOUBLE_EQ(*summary.find("utility_mean"), 3.25 / 4.0);
-  EXPECT_DOUBLE_EQ(*summary.find("utility_min"), 0.25);
-  EXPECT_DOUBLE_EQ(*summary.find("repairs"), 1.0);
-  EXPECT_DOUBLE_EQ(*summary.find("repair_p50_us"), 200.0);
-  EXPECT_DOUBLE_EQ(*summary.find("repair_max_us"), 200.0);
-
-  // A timeline without a repair reports 0 for every repair quantile.
-  std::ostringstream quiet_jsonl;
-  TimelineSink quiet_sink(quiet_jsonl);
-  quiet_sink.write_header(test_provenance());
-  for (std::size_t slot = 0; slot < 3; ++slot) {
-    SlotRecord r;
-    r.slot = slot;
-    r.utility = 1.0;
-    r.live = 10;
-    quiet_sink.record(r);
-  }
-  Artifact quiet;
-  quiet.kind = ArtifactKind::kTimeline;
-  quiet.timeline = parse_timeline(quiet_jsonl.str());
-  const auto quiet_summary = summarize(quiet);
-  ASSERT_NE(quiet_summary.find("repair_p50_us"), nullptr);
-  EXPECT_DOUBLE_EQ(*quiet_summary.find("repairs"), 0.0);
-  EXPECT_DOUBLE_EQ(*quiet_summary.find("repair_p50_us"), 0.0);
-  EXPECT_DOUBLE_EQ(*quiet_summary.find("repair_p95_us"), 0.0);
-  EXPECT_DOUBLE_EQ(*quiet_summary.find("repair_max_us"), 0.0);
 }
 
 // --- diff and the regression gate -----------------------------------------

@@ -2,64 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-#include <vector>
-
-#include "util/rng.h"
-#include "util/stats.h"
+#include <stdexcept>
 
 namespace cool::energy {
 namespace {
-
-TEST(StreamingQuantile, RejectsOutOfRangeQuantile) {
-  EXPECT_THROW(StreamingQuantile(0.0), std::invalid_argument);
-  EXPECT_THROW(StreamingQuantile(1.0), std::invalid_argument);
-  EXPECT_THROW(StreamingQuantile(-0.2), std::invalid_argument);
-}
-
-TEST(StreamingQuantile, ExactForSmallSamples) {
-  StreamingQuantile median(0.5);
-  EXPECT_DOUBLE_EQ(median.value(), 0.0);  // empty
-  median.add(3.0);
-  EXPECT_DOUBLE_EQ(median.value(), 3.0);
-  median.add(1.0);
-  EXPECT_DOUBLE_EQ(median.value(), 2.0);  // interpolated between 1 and 3
-  median.add(2.0);
-  EXPECT_DOUBLE_EQ(median.value(), 2.0);
-  median.add(10.0);
-  median.add(11.0);
-  EXPECT_DOUBLE_EQ(median.value(), 3.0);  // sorted: 1 2 3 10 11
-}
-
-TEST(StreamingQuantile, TracksNormalSampleQuantiles) {
-  util::Rng rng(7);
-  for (const double q : {0.5, 0.9, 0.95}) {
-    StreamingQuantile stream(q);
-    std::vector<double> sample;
-    for (int i = 0; i < 20000; ++i) {
-      const double x = rng.normal(45.0, 5.0);
-      stream.add(x);
-      sample.push_back(x);
-    }
-    const double exact = util::percentile(sample, q);
-    EXPECT_NEAR(stream.value(), exact, 0.35)
-        << "q = " << q << " exact = " << exact;
-  }
-}
-
-TEST(StreamingQuantile, MonotoneAcrossQuantiles) {
-  util::Rng rng(9);
-  StreamingQuantile q50(0.5), q90(0.9), q99(0.99);
-  for (int i = 0; i < 5000; ++i) {
-    const double x = rng.exponential(10.0);
-    q50.add(x);
-    q90.add(x);
-    q99.add(x);
-  }
-  EXPECT_LT(q50.value(), q90.value());
-  EXPECT_LT(q90.value(), q99.value());
-}
 
 TEST(EstimatorConfig, Validation) {
   RhoEstimatorConfig config;
@@ -67,9 +13,6 @@ TEST(EstimatorConfig, Validation) {
   config.ewma_alpha = 0.0;
   EXPECT_THROW(validate_estimator_config(config), std::invalid_argument);
   config.ewma_alpha = 1.5;
-  EXPECT_THROW(validate_estimator_config(config), std::invalid_argument);
-  config = RhoEstimatorConfig{};
-  config.quantile = 1.0;
   EXPECT_THROW(validate_estimator_config(config), std::invalid_argument);
   config = RhoEstimatorConfig{};
   config.drift_threshold = 0.0;
@@ -143,21 +86,6 @@ TEST(RhoPrimeEstimator, DriftSilentDuringWarmup) {
   est.record_discharge(0, 1.0);
   est.record_recharge(0, 30.0);
   EXPECT_TRUE(est.drifted());
-}
-
-TEST(RhoPrimeEstimator, RechargeQuantileTracksUpperTail) {
-  RhoEstimatorConfig config;
-  config.quantile = 0.9;
-  RhoPrimeEstimator est(1, 3.0, config);
-  util::Rng rng(11);
-  std::vector<double> sample;
-  for (int i = 0; i < 10000; ++i) {
-    double x = rng.normal(45.0, 5.0);
-    while (x <= 0.0) x = rng.normal(45.0, 5.0);
-    est.record_recharge(0, x);
-    sample.push_back(x);
-  }
-  EXPECT_NEAR(est.recharge_quantile(), util::percentile(sample, 0.9), 0.4);
 }
 
 TEST(RhoPrimeEstimator, ResetNodeRestoresPlannedFallback) {

@@ -147,12 +147,14 @@ TEST(FaultModel, UpMaskMatchesState) {
 // --- Simulator integration ---
 
 TEST(SimulatorFaults, LegacyAliasExactCounts) {
-  // rate 1, repair_slots 2, 48 slots: onsets at 0, 3, 6, ..., 45 -> 16 per
-  // node. A schedule that selects a down node logs a failed selection.
+  // The transient model the seed simulator ran. Rate 1, repair_slots 2,
+  // 48 slots: onsets at 0, 3, 6, ..., 45 -> 16 per node. A schedule that
+  // selects a down node logs a failed selection.
   const auto utility = detect(4, 0.4);
   auto config = normalized_config();
-  config.failure_rate_per_slot = 1.0;
-  config.repair_slots = 2;
+  config.faults.kind = FaultKind::kTransient;
+  config.faults.failure_rate_per_slot = 1.0;
+  config.faults.repair_slots = 2;
   const core::Problem problem(utility, 4, 12, true);
   const auto schedule = core::GreedyScheduler().schedule(problem).schedule;
   SchedulePolicy policy(schedule);
@@ -171,8 +173,9 @@ TEST(SimulatorFaults, RepairSlotsZeroRegression) {
   // selection ever failed. Now the outage lands for one slot.
   const auto utility = detect(3, 0.4);
   auto config = normalized_config();
-  config.failure_rate_per_slot = 1.0;
-  config.repair_slots = 0;
+  config.faults.kind = FaultKind::kTransient;
+  config.faults.failure_rate_per_slot = 1.0;
+  config.faults.repair_slots = 0;
   core::PeriodicSchedule all_on(3, 4);
   for (std::size_t v = 0; v < 3; ++v)
     for (std::size_t t = 0; t < 4; ++t) all_on.set_active(v, t);
@@ -212,8 +215,9 @@ TEST(SimulatorFaults, UtilityDropsMonotonicallyWithFailureRate) {
   double previous = std::numeric_limits<double>::infinity();
   for (const double rate : {0.0, 0.05, 0.15, 0.40}) {
     auto config = normalized_config(10);
-    config.failure_rate_per_slot = rate;
-    config.repair_slots = 4;
+    config.faults.kind = FaultKind::kTransient;
+    config.faults.failure_rate_per_slot = rate;
+    config.faults.repair_slots = 4;
     SchedulePolicy policy(schedule);
     Simulator sim(utility, config, util::Rng(10));
     const auto report = sim.run(policy);
@@ -221,19 +225,6 @@ TEST(SimulatorFaults, UtilityDropsMonotonicallyWithFailureRate) {
         << "utility must drop as the failure rate grows (rate " << rate << ")";
     previous = report.total_utility;
   }
-}
-
-TEST(SimulatorFaults, ExplicitFaultConfigOverridesAlias) {
-  // When `faults` is set, the legacy knobs are ignored.
-  const auto utility = detect(4, 0.4);
-  auto config = normalized_config();
-  config.faults.kind = FaultKind::kCrashStop;
-  config.faults.death_rate_per_slot = 0.0;  // no faults at all
-  config.failure_rate_per_slot = 1.0;       // alias must be ignored
-  OnlineGreedyPolicy policy(utility);
-  Simulator sim(utility, config, util::Rng(11));
-  const auto report = sim.run(policy);
-  EXPECT_EQ(report.failures_injected, 0u);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -11,18 +10,11 @@
 #include <utility>
 #include <vector>
 
-#include "core/greedy.h"
-#include "core/problem.h"
-#include "net/link.h"
-#include "net/network.h"
-#include "net/routing.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/provenance.h"
 #include "obs/session.h"
-#include "obs/timeline.h"
 #include "obs/trace.h"
-#include "sim/runtime.h"
 
 namespace cool::obs {
 namespace {
@@ -277,78 +269,6 @@ TEST_F(TraceTest, ChromeTraceExportIsValidAndComplete) {
   }
 }
 
-// --- timeline -------------------------------------------------------------
-
-TEST(Timeline, RecordRendersAsParseableJsonLine) {
-  SlotRecord r;
-  r.slot = 12;
-  r.utility = 0.875;
-  r.active = 5;
-  r.live = 14;
-  r.repairs = 1;
-  r.repair_micros = 142.5;
-  const auto line = TimelineSink::to_json(r);
-  EXPECT_EQ(line.find('\n'), std::string::npos);
-  const auto doc = parse_json(line);
-  EXPECT_DOUBLE_EQ(doc.at("slot").as_number(), 12.0);
-  EXPECT_DOUBLE_EQ(doc.at("utility").as_number(), 0.875);
-  EXPECT_DOUBLE_EQ(doc.at("repair_micros").as_number(), 142.5);
-}
-
-TEST(Timeline, FaultyRuntimeRunEmitsOneRecordPerSlot) {
-  // A crash-stop run hot enough that the detect→repair→re-disseminate loop
-  // actually fires, streamed into a TimelineSink.
-  net::NetworkConfig net_config;
-  net_config.sensor_count = 24;
-  net_config.target_count = 10;
-  net_config.sensing_radius = 30.0;
-  net_config.comm_radius = 70.0;
-  util::Rng rng(9);
-  const auto network = net::make_random_network(net_config, rng);
-  const auto pattern = energy::ChargingPattern{};  // rho 3, T = 4
-  const auto problem =
-      core::Problem::detection_instance(network, 0.4, pattern, 12);
-  const auto schedule = core::GreedyScheduler().schedule(problem).schedule;
-  const net::RoutingTree tree(network, net::choose_best_sink(network));
-  const net::LinkModel links(network);
-  const net::RadioEnergyModel radio;
-
-  std::ostringstream jsonl;
-  TimelineSink sink(jsonl);
-  sim::RuntimeConfig config;
-  config.slots = 240;
-  config.pattern = pattern;
-  config.faults.kind = sim::FaultKind::kCrashStop;
-  config.faults.death_rate_per_slot = 0.002;
-  config.timeline = &sink;
-
-  sim::ResilientRuntime runtime(problem.slot_utility_ptr(), network, tree,
-                                links, radio, schedule, config, util::Rng(3));
-  const auto report = runtime.run();
-  ASSERT_GT(report.true_deaths, 0u);
-  ASSERT_GT(report.repairs, 0u);
-  EXPECT_EQ(sink.records(), config.slots);
-
-  // Every line parses on its own, and the aggregate cross-checks the report.
-  std::istringstream lines(jsonl.str());
-  std::string line;
-  std::size_t count = 0, repairs = 0, next_slot = 0;
-  double last_utility = -1.0;
-  while (std::getline(lines, line)) {
-    const auto doc = parse_json(line);
-    EXPECT_DOUBLE_EQ(doc.at("slot").as_number(),
-                     static_cast<double>(next_slot++));
-    EXPECT_TRUE(std::isfinite(doc.at("utility").as_number()));
-    EXPECT_LE(doc.at("active").as_number(), doc.at("live").as_number() + 0.5);
-    repairs += static_cast<std::size_t>(doc.at("repairs").as_number());
-    last_utility = doc.at("utility").as_number();
-    ++count;
-  }
-  EXPECT_EQ(count, config.slots);
-  EXPECT_EQ(repairs, report.repairs);
-  EXPECT_GE(last_utility, 0.0);
-}
-
 // --- provenance -----------------------------------------------------------
 
 TEST(Provenance, CollectCapturesBuildAndArgs) {
@@ -417,17 +337,6 @@ TEST(Provenance, StampsTraceMetricsAndTimelineOutputs) {
   reg.write_json(json_out, p.to_json());
   EXPECT_EQ(parse_json(json_out.str()).at("provenance").at("seed").as_number(),
             11.0);
-
-  std::ostringstream jsonl;
-  TimelineSink sink(jsonl);
-  sink.write_header(p);
-  sink.record(SlotRecord{});
-  EXPECT_EQ(sink.records(), 1u);  // header is not a record
-  std::istringstream lines(jsonl.str());
-  std::string first;
-  ASSERT_TRUE(std::getline(lines, first));
-  EXPECT_EQ(parse_json(first).at("provenance").at("git_sha").as_string(),
-            "feedbee");
 }
 
 // --- obs session lifecycle ------------------------------------------------

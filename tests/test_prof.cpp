@@ -1,16 +1,14 @@
 // The sampling + allocation profiler (obs/prof, DESIGN.md section 14):
 // lifecycle guards, SIGPROF capture into the seqlock ring, span
-// attribution, folded-stack output, the async-signal-safe raw dump, and
-// the run-to-run determinism of requested-byte allocation accounting.
+// attribution, folded-stack output, and the run-to-run determinism of
+// requested-byte allocation accounting.
 //
 // Every suite here is named Prof* so scripts/check_sanitize.sh --tsan picks
 // the whole file up: the handler publishes samples while collect() walks
 // the ring, which is exactly the seqlock race TSan should see.
 #include <gtest/gtest.h>
 
-#include <fcntl.h>
 #include <time.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -98,7 +96,7 @@ TEST(ProfCpu, SamplerFillsRingAndCollectAggregates) {
   {
     // The span is active for (almost) the whole burn, so it must dominate
     // the span-weighted view.
-    SpanScope span("prof-test-burn");
+    ScopedSpan span("prof-test-burn");
     EXPECT_STREQ(current_span(), "prof-test-burn");
     burn_until_samples(8);
   }
@@ -198,34 +196,14 @@ TEST(ProfCpu, WriteProfileEmitsJsonAndParseableFoldedSidecar) {
   std::remove(folded.c_str());
 }
 
-TEST(ProfCpu, DumpRawWritesFoldedHexLinesSignalSafely) {
-  ProfilerConfig config;
-  config.alloc = false;
-  ASSERT_TRUE(start(config));
-  burn_until_samples(4);
-  ASSERT_TRUE(stop());
-
-  const std::string path = ::testing::TempDir() + "prof-raw.folded";
-  const int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  ASSERT_GE(fd, 0);
-  const std::size_t lines = dump_raw(fd);
-  ::close(fd);
-  EXPECT_GE(lines, 1u);
-  const std::string text = read_file(path);
-  expect_parseable_folded(text);
-  EXPECT_NE(text.find("0x"), std::string::npos)
-      << "raw dump must be hex addresses (no symbolization in crash context)";
-  std::remove(path.c_str());
-}
-
 TEST(ProfSpan, StackNestsClampsAndUnwindsCleanly) {
   // The attribution stack works whether or not a window is open; ScopedSpan
-  // and SpanScope only *push* while profiling is enabled.
+  // only *pushes* while profiling is enabled.
   EXPECT_EQ(current_span(), nullptr);
   {
-    SpanScope outer("prof-span-outer");
+    ScopedSpan outer("prof-span-outer");
     EXPECT_EQ(current_span(), nullptr)
-        << "SpanScope must be a no-op when the profiler is idle";
+        << "ScopedSpan must not push when the profiler is idle";
   }
 
   ProfilerConfig config;
@@ -271,9 +249,9 @@ TEST(ProfSpan, ConcurrentPushPopWhileSamplingAndCollecting) {
     workers.emplace_back([&go] {
       std::atomic<std::uint64_t> sink{0};
       while (go.load(std::memory_order_relaxed)) {
-        SpanScope outer("prof-thread-outer");
+        ScopedSpan outer("prof-thread-outer");
         for (int i = 0; i < 50; ++i) {
-          SpanScope inner("prof-thread-inner");
+          ScopedSpan inner("prof-thread-inner");
           for (std::uint64_t j = 0; j < 500; ++j)
             sink.fetch_add(j, std::memory_order_relaxed);
         }
@@ -337,7 +315,7 @@ TEST(ProfAlloc, BytesBillToTheActiveSpan) {
   config.sample_hz = 101;  // the span stack is only writable while running
   ASSERT_TRUE(start(config));
   {
-    SpanScope span("prof-alloc-span");
+    ScopedSpan span("prof-alloc-span");
     volatile char* block = new char[4096];
     block[0] = 1;
     delete[] const_cast<char*>(block);

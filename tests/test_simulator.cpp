@@ -119,8 +119,9 @@ TEST(Simulator, FaultInjectionDegradesUtility) {
   const auto healthy_report = healthy.run(policy_a);
 
   auto faulty_config = normalized_config(5);
-  faulty_config.failure_rate_per_slot = 0.05;
-  faulty_config.repair_slots = 8;
+  faulty_config.faults.kind = FaultKind::kTransient;
+  faulty_config.faults.failure_rate_per_slot = 0.05;
+  faulty_config.faults.repair_slots = 8;
   SchedulePolicy policy_b(schedule);
   Simulator faulty(utility, faulty_config, util::Rng(8));
   const auto faulty_report = faulty.run(policy_b);
@@ -136,7 +137,8 @@ TEST(Simulator, ZeroFailureRateChangesNothing) {
   const core::Problem problem(utility, 4, 12, true);
   const auto schedule = core::GreedyScheduler().schedule(problem).schedule;
   auto config = normalized_config();
-  config.failure_rate_per_slot = 0.0;
+  config.faults.kind = FaultKind::kTransient;
+  config.faults.failure_rate_per_slot = 0.0;
   SchedulePolicy policy(schedule);
   Simulator sim(utility, config, util::Rng(9));
   const auto report = sim.run(policy);
@@ -151,8 +153,9 @@ TEST(Simulator, OnlinePolicyRoutesAroundFailures) {
   // positive utility because it substitutes healthy ready nodes.
   const auto utility = detect(12, 0.4);
   auto config = normalized_config(5);
-  config.failure_rate_per_slot = 0.1;
-  config.repair_slots = 2;
+  config.faults.kind = FaultKind::kTransient;
+  config.faults.failure_rate_per_slot = 0.1;
+  config.faults.repair_slots = 2;
   OnlineGreedyPolicy policy(utility);
   Simulator sim(utility, config, util::Rng(10));
   const auto report = sim.run(policy);
@@ -241,9 +244,10 @@ TEST(Simulator, SocRecordingOffByDefault) {
 TEST(Simulator, FailureRateValidation) {
   const auto utility = detect(2, 0.4);
   auto config = normalized_config();
-  config.failure_rate_per_slot = -0.1;
+  config.faults.kind = FaultKind::kTransient;
+  config.faults.failure_rate_per_slot = -0.1;
   EXPECT_THROW(Simulator(utility, config, util::Rng(11)), std::invalid_argument);
-  config.failure_rate_per_slot = 1.5;
+  config.faults.failure_rate_per_slot = 1.5;
   EXPECT_THROW(Simulator(utility, config, util::Rng(11)), std::invalid_argument);
 }
 

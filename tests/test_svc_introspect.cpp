@@ -1,8 +1,9 @@
 // The introspection plane: deterministic request trace ids (bit-identical
 // across planner pool widths, preserved verbatim through the WAL and its
-// replay), the queue-bypassing stats/healthz/dump verbs, their
-// reconciliation with the service's externally observable behaviour, and
-// the crash flight dump a forked coold leaves behind after SIGABRT.
+// replay), queue spans that end at batch formation, the queue-bypassing
+// stats/healthz/dump verbs, their reconciliation with the service's
+// externally observable behaviour, and the crash flight dump a forked
+// coold leaves behind after SIGABRT.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -17,6 +18,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -237,6 +239,41 @@ TEST(SvcIntrospect, StatsVerbReconcilesWithWorkload) {
   EXPECT_EQ(narrow.tenants[0].first, "t1");
   EXPECT_EQ(stat_value(narrow, "acked_ok"), planned);
   service.stop();
+}
+
+TEST(SvcIntrospect, QueueSpansOfOneBatchEndAtBatchFormation) {
+  // Requests submitted before start() wait in the admission queue, so the
+  // worker's first batch holds all four tenants. Phase A builds each n = 200
+  // session before it reaches the next job, yet every queue span of the
+  // batch must end where the batch formed, not where Phase A got to it.
+  const std::string dir = ::testing::TempDir() + "cool-introspect-queue-spans";
+  obs::TraceCollector collector;
+  obs::set_trace_collector(&collector);
+  svc::CooldService service(test_config(dir));
+  std::vector<std::promise<svc::Response>> promises(4);
+  for (std::size_t t = 0; t < promises.size(); ++t) {
+    svc::Request request = schedule_request("q" + std::to_string(t), 60 + t);
+    request.spec.sensors = 200;
+    request.spec.targets = 100;
+    service.submit(std::move(request), [&promises, t](svc::Response response) {
+      promises[t].set_value(std::move(response));
+    });
+  }
+  service.start();
+  for (auto& promise : promises) {
+    const svc::Response reply = promise.get_future().get();
+    EXPECT_TRUE(reply.ok) << reply.error;
+  }
+  service.stop();
+  obs::set_trace_collector(nullptr);
+
+  std::vector<std::uint64_t> ends;
+  for (const obs::TraceEvent& event : collector.events())
+    if (event.name == "svc.queue") ends.push_back(event.ts_us + event.dur_us);
+  ASSERT_EQ(ends.size(), promises.size());
+  for (const std::uint64_t end : ends)
+    EXPECT_EQ(end, ends.front()) << "queue spans of one batch must share "
+                                    "their end";
 }
 
 TEST(SvcIntrospect, IntrospectionBypassesAdmissionQueue) {

@@ -133,7 +133,7 @@ TEST_F(SvcServiceTest, DegradeMinPinsLadderLevel) {
 TEST_F(SvcServiceTest, ExactRungsRunLazyGreedyBelowCritWatermark) {
   // The ladder is exact greedy -> HEF. Below crit_watermark every plan
   // starts on lazy greedy; high_watermark only sets the healthz verdict.
-  // A level-1 pin runs the same planner.
+  // A level-1 pin is read as level 0: same planner, same schedule.
   svc::ServiceConfig config = make_config();
   config.high_watermark = 0.0;
   svc::CooldService service(config);
@@ -147,7 +147,7 @@ TEST_F(SvcServiceTest, ExactRungsRunLazyGreedyBelowCritWatermark) {
   pinned.degrade_min = 1;
   const svc::Response replanned = service.call(std::move(pinned));
   ASSERT_TRUE(replanned.ok) << replanned.error;
-  EXPECT_EQ(replanned.degrade, 1);
+  EXPECT_EQ(replanned.degrade, 0);
   EXPECT_EQ(replanned.planner, "lazy_greedy");
   EXPECT_EQ(svc::schedule_from_response(replanned),
             svc::schedule_from_response(scheduled));
